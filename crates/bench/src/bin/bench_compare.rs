@@ -17,11 +17,13 @@
 //! (`streamcluster`, `streaming_histogram` — the workloads extent
 //! classification exists for) every sharded cell must not replay more
 //! order-dependent events (`ordered_events`) than the recorded baseline
-//! allows, and must not run slower than the classic single-threaded loop
-//! (speedup below 1 beyond the tolerance). Event counts are deterministic,
-//! so their tolerance is a fixed 5%-of-baseline slack for benign
-//! reclassifications; the wall-clock tolerance is `--tolerance-points`
-//! interpreted as percent.
+//! allows, and must not run slower than the reference per-op loop
+//! (speedup below 1 beyond the tolerance). Rows labelled
+//! `"engine": "reference"` — and unlabelled single-shard rows, which older
+//! baselines recorded from the per-op loop — are the speedup baseline, not
+//! gated cells. Event counts are deterministic, so their tolerance is a
+//! fixed 5%-of-baseline slack for benign reclassifications; the
+//! wall-clock tolerance is `--tolerance-points` interpreted as percent.
 //!
 //! `--robust` mode gates `BENCH_robust.json`: per (workload, fault cell)
 //! the best reported improvement must not fall below the baseline's by
@@ -31,56 +33,81 @@
 //! grow. Detection output is deterministic, so the tolerance only
 //! absorbs deliberate re-tuning, not run-to-run noise.
 //!
-//! The parser is deliberately minimal — the emitters write one record per
-//! line with scalar fields only — so the workspace stays free of a JSON
-//! dependency.
+//! Every file is read with the strict JSON parser of `cheetah-obs`, so
+//! records may be laid out on one line or pretty-printed. Exit codes: 0
+//! within limits, 1 on a regression or a missing cell, 2 on bad usage or
+//! an unreadable file.
 
+use cheetah_obs::json::{self, Value};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Extracts a scalar field's raw text from a single-line JSON record.
-fn field<'a>(record: &'a str, name: &str) -> Option<&'a str> {
-    let key = format!("\"{name}\": ");
-    let start = record.find(&key)? + key.len();
-    let rest = &record[start..];
-    if let Some(quoted) = rest.strip_prefix('"') {
-        quoted.split('"').next()
-    } else {
-        rest.split([',', '}']).next().map(str::trim)
-    }
+/// Gated cells of one BENCH file, by cell key.
+type Cells<C> = BTreeMap<String, C>;
+
+/// A mode's parser: a whole BENCH document to its gated cells.
+type Parse<C> = fn(&Value) -> Result<Cells<C>, String>;
+
+/// A mode's gate over `(baseline, fresh, tolerance)`; `Err` carries the
+/// failure summary.
+type Compare<C> = fn(&Cells<C>, &Cells<C>, f64) -> Result<(), String>;
+
+/// The array `key` of a BENCH document.
+fn array<'a>(doc: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    doc.get(key)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("no \"{key}\" array"))
 }
 
-/// Parses the records of a BENCH_repair.json file into
-/// `(cell key -> prediction_error)`.
-fn parse(path: &str) -> Result<BTreeMap<String, f64>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut cells = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.contains("\"workload\"") {
-            continue;
-        }
-        let workload = field(line, "workload").ok_or("record without workload")?;
-        let threads = field(line, "threads").ok_or("record without threads")?;
-        let period = field(line, "period").unwrap_or("-");
-        let instance = field(line, "instance").unwrap_or("-");
-        let error: f64 = field(line, "prediction_error")
-            .ok_or("record without prediction_error")?
-            .parse()
-            .map_err(|e| format!("bad prediction_error in {path}: {e}"))?;
+/// A required numeric field.
+fn num(record: &Value, name: &str) -> Result<f64, String> {
+    record
+        .get(name)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("record without numeric {name}"))
+}
+
+/// A required string field.
+fn text<'a>(record: &'a Value, name: &str) -> Result<&'a str, String> {
+    record
+        .get(name)
+        .and_then(Value::as_str)
+        .ok_or_else(|| format!("record without {name}"))
+}
+
+/// A boolean field; missing or non-boolean reads as `false`.
+fn flag(record: &Value, name: &str) -> bool {
+    record.get(name) == Some(&Value::Bool(true))
+}
+
+/// Parses `BENCH_repair.json` into `(cell key -> gated prediction error)`.
+fn parse_repair(doc: &Value) -> Result<Cells<f64>, String> {
+    let mut cells = Cells::new();
+    for record in array(doc, "results")? {
+        let period = record
+            .get("period")
+            .and_then(Value::as_f64)
+            .map_or("-".to_string(), |p| p.to_string());
+        let instance = record
+            .get("instance")
+            .and_then(Value::as_str)
+            .unwrap_or("-");
+        let error = num(record, "prediction_error")?;
         // Gate on the cell's worst convergence step when recorded (older
         // baselines carry only the first-fix error): a multi-iteration
         // cell must not regress in a later step unnoticed.
-        let worst: f64 = field(line, "worst_step_error")
-            .and_then(|v| v.parse().ok())
+        let worst = record
+            .get("worst_step_error")
+            .and_then(Value::as_f64)
             .unwrap_or(error);
         cells.insert(
-            format!("{workload} t{threads} p{period} [{instance}]"),
+            format!(
+                "{} t{} p{period} [{instance}]",
+                text(record, "workload")?,
+                num(record, "threads")?
+            ),
             error.max(worst),
         );
-    }
-    if cells.is_empty() {
-        return Err(format!("{path}: no benchmark records found"));
     }
     Ok(cells)
 }
@@ -88,120 +115,41 @@ fn parse(path: &str) -> Result<BTreeMap<String, f64>, String> {
 /// One sharded cell of a BENCH_sim.json file.
 #[derive(Debug, Clone, Copy)]
 struct SimCell {
-    ordered_events: u64,
+    ordered_events: f64,
     speedup: f64,
 }
 
-/// Parses the per-cell records of a BENCH_sim.json file into
-/// `(workload t<threads> s<shards> -> cell)` for sharded cells.
-fn parse_sim(path: &str) -> Result<BTreeMap<String, SimCell>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut cells = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.contains("\"workload\"") {
-            continue;
-        }
-        let workload = field(line, "workload").ok_or("record without workload")?;
-        let threads = field(line, "threads").ok_or("record without threads")?;
-        let shards: u32 = field(line, "shards")
-            .ok_or("record without shards")?
-            .parse()
-            .map_err(|e| format!("bad shards in {path}: {e}"))?;
-        if shards < 2 {
-            continue;
-        }
-        let ordered_events: u64 = match field(line, "ordered_events") {
-            // Pre-extent baselines carry no event counts; skip them so the
-            // gate starts enforcing once a counted baseline is committed.
-            None => continue,
-            Some(v) => v
-                .parse()
-                .map_err(|e| format!("bad ordered_events in {path}: {e}"))?,
+/// Parses the sharded cells of `BENCH_sim.json` into
+/// `(workload t<threads> s<shards> -> cell)`.
+fn parse_sim(doc: &Value) -> Result<Cells<SimCell>, String> {
+    let mut cells = Cells::new();
+    for record in array(doc, "results")? {
+        let shards = num(record, "shards")?;
+        let sharded = match record.get("engine").and_then(Value::as_str) {
+            Some(engine) => engine == "sharded",
+            None => shards >= 2.0,
         };
-        let speedup: f64 = field(line, "speedup")
-            .ok_or("record without speedup")?
-            .parse()
-            .map_err(|e| format!("bad speedup in {path}: {e}"))?;
+        // Pre-extent baselines carry no event counts; skip them so the
+        // gate starts enforcing once a counted baseline is committed.
+        let Some(ordered_events) = record.get("ordered_events").and_then(Value::as_f64) else {
+            continue;
+        };
+        if !sharded {
+            continue;
+        }
         cells.insert(
-            format!("{workload} t{threads} s{shards}"),
+            format!(
+                "{} t{} s{shards}",
+                text(record, "workload")?,
+                num(record, "threads")?
+            ),
             SimCell {
                 ordered_events,
-                speedup,
+                speedup: num(record, "speedup")?,
             },
         );
     }
-    if cells.is_empty() {
-        return Err(format!("{path}: no sharded sim records found"));
-    }
     Ok(cells)
-}
-
-/// The workloads whose sharded rows the sim gate enforces: the streaming
-/// shapes extent classification exists for.
-const SIM_GATED: [&str; 2] = ["streamcluster", "streaming_histogram"];
-
-/// Event-count slack for benign reclassifications (fraction of baseline).
-const SIM_EVENT_SLACK: f64 = 0.05;
-
-/// The `--sim` gate; `tolerance` is the wall-clock fraction.
-fn compare_sim(baseline_path: &str, fresh_path: &str, tolerance: f64) -> ExitCode {
-    let (baseline, fresh) = match (parse_sim(baseline_path), parse_sim(fresh_path)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench_compare: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut failures = 0usize;
-    for (key, base) in &baseline {
-        let gated = SIM_GATED.iter().any(|w| key.starts_with(w));
-        match fresh.get(key) {
-            None => {
-                eprintln!("MISSING  {key}: cell present in baseline but not regenerated");
-                failures += 1;
-            }
-            Some(cell) => {
-                let event_limit =
-                    (base.ordered_events as f64 * (1.0 + SIM_EVENT_SLACK)).ceil() as u64;
-                let events_bad = gated && cell.ordered_events > event_limit;
-                let speed_bad = gated && cell.speedup < 1.0 - tolerance;
-                let status = if events_bad || speed_bad {
-                    failures += 1;
-                    "REGRESS"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "{status:8} {key}: ordered {} -> {} (limit {event_limit}), \
-                     speedup {:.2}x -> {:.2}x{}",
-                    base.ordered_events,
-                    cell.ordered_events,
-                    base.speedup,
-                    cell.speedup,
-                    if gated { "" } else { " [informational]" },
-                );
-            }
-        }
-    }
-    for key in fresh.keys() {
-        if !baseline.contains_key(key) {
-            println!("NEW      {key}: not in baseline (bench grew)");
-        }
-    }
-    if failures > 0 {
-        eprintln!(
-            "bench_compare --sim: {failures} sharded cell(s) replay more ordered events \
-             than the baseline, run slower than the classic loop, or went missing"
-        );
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "bench_compare --sim: all {} baseline cells within limits",
-            baseline.len()
-        );
-        ExitCode::SUCCESS
-    }
 }
 
 /// One gated entry of a BENCH_robust.json file: a fault-preset cell, the
@@ -215,130 +163,219 @@ struct RobustCell {
     /// repair); always true for fault cells.
     held: bool,
     /// Residual significant instances (degraded repair; 0 elsewhere).
-    residual: u64,
+    residual: f64,
 }
 
-/// Parses a BENCH_robust.json file into `(workload/cell -> entry)`.
-/// The emitter nests cells under their workload record, so the scan is
-/// stateful: a `"workload"` line names the group for the cell,
-/// `"pressure"` and `"degraded_repair"` lines that follow it.
-fn parse_robust(path: &str) -> Result<BTreeMap<String, RobustCell>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut cells = BTreeMap::new();
-    let mut workload = String::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(name) = field(line, "workload") {
-            workload = name.to_string();
-        } else if let Some(cell) = field(line, "cell") {
-            let best: f64 = field(line, "best_improvement")
-                .ok_or("cell without best_improvement")?
-                .parse()
-                .map_err(|e| format!("bad best_improvement in {path}: {e}"))?;
+/// Parses `BENCH_robust.json` into `(workload/cell -> entry)`.
+fn parse_robust(doc: &Value) -> Result<Cells<RobustCell>, String> {
+    let mut cells = Cells::new();
+    for group in array(doc, "workloads")? {
+        let workload = text(group, "workload")?;
+        for cell in group.get("cells").and_then(Value::as_arr).unwrap_or(&[]) {
             cells.insert(
-                format!("{workload}/{cell}"),
+                format!("{workload}/{}", text(cell, "cell")?),
                 RobustCell {
-                    best_improvement: best,
+                    best_improvement: num(cell, "best_improvement")?,
                     held: true,
-                    residual: 0,
+                    residual: 0.0,
                 },
             );
-        } else if line.starts_with("\"pressure\"") {
-            let best: f64 = field(line, "best_improvement")
-                .ok_or("pressure without best_improvement")?
-                .parse()
-                .map_err(|e| format!("bad best_improvement in {path}: {e}"))?;
-            let survived = field(line, "top_finding_survived") == Some("true");
+        }
+        if let Some(pressure) = group.get("pressure") {
             cells.insert(
                 format!("{workload}/pressure"),
                 RobustCell {
-                    best_improvement: best,
-                    held: survived,
-                    residual: 0,
+                    best_improvement: num(pressure, "best_improvement")?,
+                    held: flag(pressure, "top_finding_survived"),
+                    residual: 0.0,
                 },
             );
-        } else if line.starts_with("\"degraded_repair\"") {
-            let converged = field(line, "converged") == Some("true");
-            let residual: u64 = field(line, "residual")
-                .ok_or("degraded_repair without residual")?
-                .trim_end_matches('}')
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad residual in {path}: {e}"))?;
+        }
+        if let Some(degraded) = group.get("degraded_repair") {
             cells.insert(
                 format!("{workload}/degraded"),
                 RobustCell {
                     best_improvement: 0.0,
-                    held: converged,
-                    residual,
+                    held: flag(degraded, "converged"),
+                    residual: num(degraded, "residual")?,
                 },
             );
         }
     }
-    if cells.is_empty() {
-        return Err(format!("{path}: no robustness records found"));
-    }
     Ok(cells)
 }
 
-/// The `--robust` gate; `tolerance` is the relative improvement slack.
-fn compare_robust(baseline_path: &str, fresh_path: &str, tolerance: f64) -> ExitCode {
-    let (baseline, fresh) = match (parse_robust(baseline_path), parse_robust(fresh_path)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench_compare: {e}");
-            return ExitCode::from(2);
-        }
-    };
+/// Matches fresh cells to baseline cells by key: a baseline cell missing
+/// from the fresh file fails, a new cell only notes that the bench grew.
+/// `regressed` prints one line per matched cell and returns whether it
+/// regressed. Returns the failure count.
+fn gate<C>(
+    baseline: &Cells<C>,
+    fresh: &Cells<C>,
+    mut regressed: impl FnMut(&str, &C, &C) -> bool,
+) -> usize {
     let mut failures = 0usize;
-    for (key, base) in &baseline {
+    for (key, base) in baseline {
         match fresh.get(key) {
             None => {
                 eprintln!("MISSING  {key}: cell present in baseline but not regenerated");
                 failures += 1;
             }
-            Some(cell) => {
-                let floor = base.best_improvement * (1.0 - tolerance);
-                let improvement_bad = cell.best_improvement < floor;
-                let held_bad = base.held && !cell.held;
-                let residual_bad = cell.residual > base.residual;
-                let status = if improvement_bad || held_bad || residual_bad {
-                    failures += 1;
-                    "REGRESS"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "{status:8} {key}: best {:.2}x -> {:.2}x (floor {floor:.2}x), \
-                     held {} -> {}, residual {} -> {}",
-                    base.best_improvement,
-                    cell.best_improvement,
-                    base.held,
-                    cell.held,
-                    base.residual,
-                    cell.residual,
-                );
-            }
+            Some(cell) => failures += usize::from(regressed(key, base, cell)),
         }
     }
     for key in fresh.keys() {
         if !baseline.contains_key(key) {
-            println!("NEW      {key}: not in baseline (sweep grew)");
+            println!("NEW      {key}: not in baseline (bench grew)");
         }
     }
-    if failures > 0 {
-        eprintln!(
-            "bench_compare --robust: {failures} cell(s) lost improvement beyond {:.0}%, \
-             dropped a survival/convergence guarantee, grew residue, or went missing",
-            tolerance * 100.0
-        );
-        ExitCode::FAILURE
+    failures
+}
+
+/// The status column of a gated cell.
+fn status(regressed: bool) -> &'static str {
+    if regressed {
+        "REGRESS"
     } else {
+        "ok"
+    }
+}
+
+/// The workloads whose sharded rows the sim gate enforces: the streaming
+/// shapes extent classification exists for.
+const SIM_GATED: [&str; 2] = ["streamcluster", "streaming_histogram"];
+
+/// Event-count slack for benign reclassifications (fraction of baseline).
+const SIM_EVENT_SLACK: f64 = 0.05;
+
+/// The default gate; `tolerance` is in absolute error points.
+fn compare_repair(baseline: &Cells<f64>, fresh: &Cells<f64>, tolerance: f64) -> Result<(), String> {
+    let failures = gate(baseline, fresh, |key, &old_error, &new_error| {
+        let delta = new_error - old_error;
+        let bad = delta > tolerance;
         println!(
-            "bench_compare --robust: all {} baseline cells within limits",
-            baseline.len()
+            "{:8} {key}: {:.1}% -> {:.1}% ({:+.1} points)",
+            status(bad),
+            old_error * 100.0,
+            new_error * 100.0,
+            delta * 100.0
         );
-        ExitCode::SUCCESS
+        bad
+    });
+    if failures > 0 {
+        return Err(format!(
+            "bench_compare: {failures} cell(s) regressed beyond {:.0} points or went missing",
+            tolerance * 100.0
+        ));
+    }
+    println!(
+        "bench_compare: all {} baseline cells within {:.0} points",
+        baseline.len(),
+        tolerance * 100.0
+    );
+    Ok(())
+}
+
+/// The `--sim` gate; `tolerance` is the wall-clock fraction.
+fn compare_sim(
+    baseline: &Cells<SimCell>,
+    fresh: &Cells<SimCell>,
+    tolerance: f64,
+) -> Result<(), String> {
+    let failures = gate(baseline, fresh, |key, base, cell| {
+        let gated = SIM_GATED.iter().any(|w| key.starts_with(w));
+        let event_limit = (base.ordered_events * (1.0 + SIM_EVENT_SLACK)).ceil();
+        let events_bad = gated && cell.ordered_events > event_limit;
+        let speed_bad = gated && cell.speedup < 1.0 - tolerance;
+        println!(
+            "{:8} {key}: ordered {} -> {} (limit {event_limit}), \
+             speedup {:.2}x -> {:.2}x{}",
+            status(events_bad || speed_bad),
+            base.ordered_events,
+            cell.ordered_events,
+            base.speedup,
+            cell.speedup,
+            if gated { "" } else { " [informational]" },
+        );
+        events_bad || speed_bad
+    });
+    if failures > 0 {
+        return Err(format!(
+            "bench_compare --sim: {failures} sharded cell(s) replay more ordered events than the \
+             baseline, run slower than the reference loop, or went missing"
+        ));
+    }
+    println!(
+        "bench_compare --sim: all {} baseline cells within limits",
+        baseline.len()
+    );
+    Ok(())
+}
+
+/// The `--robust` gate; `tolerance` is the relative improvement slack.
+fn compare_robust(
+    baseline: &Cells<RobustCell>,
+    fresh: &Cells<RobustCell>,
+    tolerance: f64,
+) -> Result<(), String> {
+    let failures = gate(baseline, fresh, |key, base, cell| {
+        let floor = base.best_improvement * (1.0 - tolerance);
+        let bad = cell.best_improvement < floor
+            || (base.held && !cell.held)
+            || cell.residual > base.residual;
+        println!(
+            "{:8} {key}: best {:.2}x -> {:.2}x (floor {floor:.2}x), \
+             held {} -> {}, residual {} -> {}",
+            status(bad),
+            base.best_improvement,
+            cell.best_improvement,
+            base.held,
+            cell.held,
+            base.residual,
+            cell.residual,
+        );
+        bad
+    });
+    if failures > 0 {
+        return Err(format!(
+            "bench_compare --robust: {failures} cell(s) lost improvement beyond {:.0}%, dropped a \
+             survival/convergence guarantee, grew residue, or went missing",
+            tolerance * 100.0
+        ));
+    }
+    println!(
+        "bench_compare --robust: all {} baseline cells within limits",
+        baseline.len()
+    );
+    Ok(())
+}
+
+/// Loads both files through `parse` and runs `compare` on their cells:
+/// exit 2 when a file is unreadable or holds no gated cells, 1 when the
+/// gate fails.
+fn run<C>(parse: Parse<C>, compare: Compare<C>, paths: [&str; 2], tolerance: f64) -> ExitCode {
+    let cells_of = |path: &str| -> Result<Cells<C>, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let cells = json::parse(&text)
+            .and_then(|doc| parse(&doc))
+            .map_err(|e| format!("{path}: {e}"))?;
+        if cells.is_empty() {
+            return Err(format!("{path}: no gated benchmark records found"));
+        }
+        Ok(cells)
+    };
+    match (cells_of(paths[0]), cells_of(paths[1])) {
+        (Ok(baseline), Ok(fresh)) => match compare(&baseline, &fresh, tolerance) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(summary) => {
+                eprintln!("{summary}");
+                ExitCode::FAILURE
+            }
+        },
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("bench_compare: {e}");
+            ExitCode::from(2)
+        }
     }
 }
 
@@ -382,63 +419,42 @@ fn main() -> ExitCode {
         }
     }
     let tolerance = tolerance_points / 100.0;
+    let paths = [baseline_path.as_str(), fresh_path.as_str()];
     if sim_mode {
-        return compare_sim(&baseline_path, &fresh_path, tolerance);
-    }
-    if robust_mode {
-        return compare_robust(&baseline_path, &fresh_path, tolerance);
-    }
-
-    let (baseline, fresh) = match (parse(&baseline_path), parse(&fresh_path)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench_compare: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut failures = 0usize;
-    for (key, &old_error) in &baseline {
-        match fresh.get(key) {
-            None => {
-                eprintln!("MISSING  {key}: cell present in baseline but not regenerated");
-                failures += 1;
-            }
-            Some(&new_error) => {
-                let delta = new_error - old_error;
-                let status = if delta > tolerance {
-                    failures += 1;
-                    "REGRESS"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "{status:8} {key}: {:.1}% -> {:.1}% ({:+.1} points)",
-                    old_error * 100.0,
-                    new_error * 100.0,
-                    delta * 100.0
-                );
-            }
-        }
-    }
-    for key in fresh.keys() {
-        if !baseline.contains_key(key) {
-            println!("NEW      {key}: not in baseline (matrix grew)");
-        }
-    }
-
-    if failures > 0 {
-        eprintln!(
-            "bench_compare: {failures} cell(s) regressed beyond {:.0} points or went missing",
-            tolerance * 100.0
-        );
-        ExitCode::FAILURE
+        run(parse_sim, compare_sim, paths, tolerance)
+    } else if robust_mode {
+        run(parse_robust, compare_robust, paths, tolerance)
     } else {
-        println!(
-            "bench_compare: all {} baseline cells within {:.0} points",
-            baseline.len(),
-            tolerance * 100.0
+        run(parse_repair, compare_repair, paths, tolerance)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pretty_printed_records_parse() {
+        let doc = json::parse(
+            r#"{
+              "benchmark": "repair",
+              "results": [
+                {
+                  "workload": "linear_regression",
+                  "threads": 2,
+                  "period": 128,
+                  "instance": "linear_regression-pthread.c: 139",
+                  "prediction_error": 0.09,
+                  "worst_step_error": 0.12
+                }
+              ]
+            }"#,
+        )
+        .expect("valid JSON");
+        let cells = parse_repair(&doc).expect("gated cells");
+        assert_eq!(
+            cells.get("linear_regression t2 p128 [linear_regression-pthread.c: 139]"),
+            Some(&0.12)
         );
-        ExitCode::SUCCESS
     }
 }

@@ -1,12 +1,14 @@
-//! Simulator throughput: single- vs. multi-shard wall-clock and
-//! merged-event counts on the Table-2 matrix rows.
+//! Simulator throughput: the sharded executor at several shard counts
+//! against the reference per-op loop, wall-clock and merged-event counts
+//! on the Table-2 matrix rows.
 //!
 //! For every `(workload, threads)` row of the validation matrix — plus the
 //! `streaming_histogram` rows, the adversarial case for extent
 //! classification — this harness times the core simulation pipeline of one
 //! matrix cell (a native run and a profiled run of both the broken and the
-//! repaired build) at several shard counts, and verifies on the way that
-//! every shard count produces the bit-identical [`cheetah_sim::RunReport`]
+//! repaired build) on the reference loop ([`Machine::run_reference`]) and
+//! on the default engine at several shard counts, and verifies on the way
+//! that every run produces the bit-identical [`cheetah_sim::RunReport`]
 //! (determinism is a hard failure here, not a statistic).
 //!
 //! Each cell runs as the **median of N repeats** (rep-major, so slow drift
@@ -20,26 +22,28 @@
 //! across repeats rather than aggregated.
 //!
 //! Emits a human table on stdout and machine-readable records to
-//! `BENCH_sim.json` (current directory); each cell record carries the
-//! sharded passes' wall-clock split as a nested `pass_breakdown` object
-//! and the schedule policy the cell ran under (always `"observed"` here —
-//! perturbed-schedule sweeps live in `schedule_explore`).
-//! With `--check`, exits nonzero if any thread-count row is slower sharded
-//! (shards >= 2) than single-threaded beyond the tolerance, or if any
-//! sharded cell reports a zeroed three-pass breakdown (a silently
-//! uninstrumented code path) — the CI regression gates for the sharded
-//! execution path. `bench_compare --sim` adds the cross-commit gate on the
-//! recorded event counts.
+//! `BENCH_sim.json` (current directory); each cell record is labelled with
+//! its `engine` (`"reference"` or `"sharded"`), carries the sharded
+//! passes' wall-clock split as a nested `pass_breakdown` object and the
+//! schedule policy the cell ran under (always `"observed"` here —
+//! perturbed-schedule sweeps live in `schedule_explore`). The reference
+//! row records `"shards": 1`, the host threads it uses.
+//! With `--check`, exits nonzero if any thread-count row is slower on the
+//! sharded executor (at any shard count) than on the reference loop beyond
+//! the tolerance, or if any sharded cell reports a zeroed three-pass
+//! breakdown (a silently uninstrumented code path) — the CI regression
+//! gates for the sharded execution path. `bench_compare --sim` adds the
+//! cross-commit gate on the recorded event counts.
 //!
 //! With `--trace out.json` the first cell is re-run at the highest shard
 //! count through a tracing [`ObsHandle`] and the phase / classify /
 //! precompute / merge spans are exported as Perfetto-loadable Chrome
 //! trace-event JSON (`--journal out.jsonl` likewise exports the flat JSONL
 //! journal of the same run). `--locate-divergence` switches to a
-//! diagnostic mode: every cell runs at shard counts {1, max} with
-//! per-phase FNV state-hash witnesses enabled, and the harness reports the
-//! first phase whose hashes differ — turning "bit-identity assert failed
-//! somewhere" into a one-line diagnosis.
+//! diagnostic mode: every cell runs on the reference loop and at the
+//! highest shard count with per-phase FNV state-hash witnesses enabled,
+//! and the harness reports the first phase whose hashes differ — turning
+//! "bit-identity assert failed somewhere" into a one-line diagnosis.
 //!
 //! Usage: `sim_throughput [--shards 1,2,4] [--reps N] [--tolerance 0.10]
 //! [--check] [--trace out.json] [--journal out.jsonl]
@@ -47,12 +51,40 @@
 
 use cheetah_core::{CheetahConfig, CheetahProfiler};
 use cheetah_obs::ObsHandle;
-use cheetah_sim::{metrics, ExecMetrics, Machine, MachineConfig, NullObserver, RunReport};
+use cheetah_sim::{
+    metrics, ExecMetrics, ExecObserver, Machine, MachineConfig, NullObserver, Program, RunReport,
+};
 use cheetah_workloads::{find, table2_matrix, SweepCell, SWEEP_THREAD_COUNTS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::time::Instant;
+
+/// The engine one bench row runs on: the reference per-op loop (`None`)
+/// or the sharded executor at a shard count.
+type Engine = Option<u32>;
+
+/// Runs `program` on `cell`'s machine and `engine`, reporting into `obs`
+/// (with per-phase state-hash witnesses when `witness`).
+fn run_on(
+    cell: &SweepCell,
+    engine: Engine,
+    witness: bool,
+    obs: &ObsHandle,
+    program: Program,
+    observer: &mut dyn ExecObserver,
+) -> RunReport {
+    let machine = Machine::new(
+        MachineConfig::with_cores(cell.cores)
+            .with_shards(engine.unwrap_or(1))
+            .with_obs(obs.clone())
+            .with_witness(witness),
+    );
+    match engine {
+        None => machine.run_reference(program, observer),
+        Some(_) => machine.run(program, observer),
+    }
+}
 
 /// One timed pipeline execution, reporting into `obs` (callers pass a
 /// fresh registry per call, so concurrent bench invocations and the global
@@ -60,12 +92,7 @@ use std::time::Instant;
 /// broken-build report (the determinism witness), the wall-clock
 /// nanoseconds and the event counters accumulated over the cell's four
 /// runs.
-fn run_cell(cell: &SweepCell, shards: u32, obs: &ObsHandle) -> (RunReport, u128, ExecMetrics) {
-    let machine = Machine::new(
-        MachineConfig::with_cores(cell.cores)
-            .with_shards(shards)
-            .with_obs(obs.clone()),
-    );
+fn run_cell(cell: &SweepCell, engine: Engine, obs: &ObsHandle) -> (RunReport, u128, ExecMetrics) {
     let cheetah = CheetahConfig::scaled(cell.period).with_obs(obs.clone());
     let broken = cell.app_config();
     let fixed = cheetah_workloads::AppConfig {
@@ -84,9 +111,16 @@ fn run_cell(cell: &SweepCell, shards: u32, obs: &ObsHandle) -> (RunReport, u128,
         let instance = cell.app.build(config);
         let report = if profiled {
             let mut profiler = CheetahProfiler::new(cheetah.clone(), &instance.space);
-            machine.run(instance.program, &mut profiler)
+            run_on(cell, engine, false, obs, instance.program, &mut profiler)
         } else {
-            machine.run(instance.program, &mut NullObserver)
+            run_on(
+                cell,
+                engine,
+                false,
+                obs,
+                instance.program,
+                &mut NullObserver,
+            )
         };
         if profiled && !config.fixed {
             witness = Some(report);
@@ -100,18 +134,12 @@ fn run_cell(cell: &SweepCell, shards: u32, obs: &ObsHandle) -> (RunReport, u128,
 /// Runs one profiled broken-build execution with per-phase state-hash
 /// witnesses enabled; returns `(index, kind, witness)` per phase, in phase
 /// order.
-fn phase_hashes(cell: &SweepCell, shards: u32) -> Vec<(u64, String, u64)> {
+fn phase_hashes(cell: &SweepCell, engine: Engine) -> Vec<(u64, String, u64)> {
     let obs = ObsHandle::fresh();
-    let machine = Machine::new(
-        MachineConfig::with_cores(cell.cores)
-            .with_shards(shards)
-            .with_obs(obs.clone())
-            .with_witness(true),
-    );
     let cheetah = CheetahConfig::scaled(cell.period).with_obs(obs.clone());
     let instance = cell.app.build(&cell.app_config());
     let mut profiler = CheetahProfiler::new(cheetah, &instance.space);
-    machine.run(instance.program, &mut profiler);
+    run_on(cell, engine, true, &obs, instance.program, &mut profiler);
     obs.spans_sorted_by_attr("phase", "index")
         .iter()
         .map(|span| {
@@ -124,16 +152,18 @@ fn phase_hashes(cell: &SweepCell, shards: u32) -> Vec<(u64, String, u64)> {
         .collect()
 }
 
-/// The `--locate-divergence` mode: reruns every cell at shard counts
-/// {1, `max_shards`} and reports the first phase whose state hashes
-/// differ. Returns the number of diverging cells.
+/// The `--locate-divergence` mode: reruns every cell on the reference
+/// loop and at `max_shards`, and reports the first phase whose state
+/// hashes differ. Returns the number of diverging cells.
 fn locate_divergence(cells: &[SweepCell], max_shards: u32) -> usize {
-    println!("Determinism divergence locator: per-phase state hashes, shards 1 vs {max_shards}\n");
+    println!(
+        "Determinism divergence locator: per-phase state hashes, reference vs {max_shards} shards\n"
+    );
     let mut diverging = 0;
     for cell in cells {
         let name = format!("{} threads={}", cell.app.name(), cell.threads);
-        let base = phase_hashes(cell, 1);
-        let sharded = phase_hashes(cell, max_shards);
+        let base = phase_hashes(cell, None);
+        let sharded = phase_hashes(cell, Some(max_shards));
         let diverged = base
             .iter()
             .zip(&sharded)
@@ -144,13 +174,13 @@ fn locate_divergence(cells: &[SweepCell], max_shards: u32) -> usize {
                 diverging += 1;
                 println!(
                     "{name}: FIRST DIVERGENCE at phase #{index} ({kind}): \
-                     {left:#018x} (1 shard) vs {right:#018x} ({max_shards} shards)"
+                     {left:#018x} (reference) vs {right:#018x} ({max_shards} shards)"
                 );
             }
             None if base.len() != sharded.len() => {
                 diverging += 1;
                 println!(
-                    "{name}: phase count differs: {} (1 shard) vs {} ({max_shards} shards)",
+                    "{name}: phase count differs: {} (reference) vs {} ({max_shards} shards)",
                     base.len(),
                     sharded.len()
                 );
@@ -165,7 +195,7 @@ struct Record {
     workload: &'static str,
     threads: u32,
     period: u64,
-    shards: u32,
+    engine: Engine,
     wall_ns: u128,
     speedup: f64,
     events: ExecMetrics,
@@ -175,6 +205,19 @@ impl Record {
     fn ordered_events(&self) -> u64 {
         self.events.merged_events - self.events.surfaced_events
     }
+}
+
+/// The `engine` label and the host-thread count of an engine's rows.
+fn engine_fields(engine: Engine) -> (&'static str, u32) {
+    match engine {
+        None => ("reference", 1),
+        Some(shards) => ("sharded", shards),
+    }
+}
+
+/// The shards column of the human tables.
+fn engine_column(engine: Engine) -> String {
+    engine.map_or_else(|| "ref".to_string(), |shards| shards.to_string())
 }
 
 struct Args {
@@ -223,8 +266,8 @@ fn parse_args() -> Args {
         }
     }
     assert!(
-        parsed.shards.contains(&1),
-        "--shards must include 1 (the baseline)"
+        !parsed.shards.is_empty(),
+        "--shards needs at least one count"
     );
     assert!(parsed.reps >= 1, "--reps must be at least 1");
     parsed
@@ -272,7 +315,7 @@ fn bench_cells() -> Vec<SweepCell> {
 /// the requested exports.
 fn export_trace(cell: &SweepCell, shards: u32, trace: Option<&str>, journal: Option<&str>) {
     let obs = ObsHandle::fresh();
-    run_cell(cell, shards, &obs);
+    run_cell(cell, Some(shards), &obs);
     if let Some(path) = trace {
         std::fs::write(path, obs.chrome_trace()).expect("write chrome trace");
         println!("wrote {path} (load in https://ui.perfetto.dev)");
@@ -289,6 +332,10 @@ fn main() {
         (args.shards, args.reps, args.tolerance, args.check);
     let cells = bench_cells();
     let max_shards = *shard_counts.iter().max().expect("nonempty shard list");
+    // The reference loop first: every sharded row is measured against it.
+    let engines: Vec<Engine> = std::iter::once(None)
+        .chain(shard_counts.iter().copied().map(Some))
+        .collect();
 
     if args.locate {
         let diverging = locate_divergence(&cells, max_shards);
@@ -300,21 +347,21 @@ fn main() {
 
     let mut records: Vec<Record> = Vec::new();
     for cell in &cells {
-        // Median-of-reps, rep-major: interleaving shard counts within each
-        // rep keeps slow drift (thermal, noisy neighbours) from biasing
-        // one shard count's measurements against another's — and a median
-        // is robust to the isolated stalls a loaded 1-CPU host produces.
-        let mut walls: Vec<Vec<u128>> = vec![Vec::with_capacity(reps as usize); shard_counts.len()];
+        // Median-of-reps, rep-major: interleaving engines within each rep
+        // keeps slow drift (thermal, noisy neighbours) from biasing one
+        // engine's measurements against another's — and a median is
+        // robust to the isolated stalls a loaded 1-CPU host produces.
+        let mut walls: Vec<Vec<u128>> = vec![Vec::with_capacity(reps as usize); engines.len()];
         let mut events: Vec<Vec<ExecMetrics>> =
-            vec![Vec::with_capacity(reps as usize); shard_counts.len()];
+            vec![Vec::with_capacity(reps as usize); engines.len()];
         let mut baseline_report: Option<RunReport> = None;
         for _ in 0..reps {
-            for (i, &shards) in shard_counts.iter().enumerate() {
+            for (i, &engine) in engines.iter().enumerate() {
                 // A fresh untraced registry per execution: event deltas are
                 // scoped to this cell, immune to the global registry's other
-                // users (satellite fix for cross-run contamination).
+                // users.
                 let (report, wall, cell_events) =
-                    run_cell(cell, shards, &ObsHandle::fresh_untraced());
+                    run_cell(cell, engine, &ObsHandle::fresh_untraced());
                 walls[i].push(wall);
                 if let Some(first) = events[i].first() {
                     assert_eq!(
@@ -331,7 +378,7 @@ fn main() {
                         "{} threads={} shards={}: event counts changed between repeats",
                         cell.app.name(),
                         cell.threads,
-                        shards
+                        engine_column(engine)
                     );
                 }
                 events[i].push(cell_events);
@@ -340,17 +387,17 @@ fn main() {
                     Some(baseline) => assert_eq!(
                         baseline,
                         &report,
-                        "{} threads={} shards={}: sharded report diverged from 1-shard run",
+                        "{} threads={} shards={}: sharded report diverged from the reference run",
                         cell.app.name(),
                         cell.threads,
-                        shards
+                        engine_column(engine)
                     ),
                 }
             }
         }
         let medians: Vec<u128> = walls.iter_mut().map(|w| median(w)).collect();
         let baseline_wall = medians[0];
-        for (i, &shards) in shard_counts.iter().enumerate() {
+        for (i, &engine) in engines.iter().enumerate() {
             // Event counts are repeat-stable (asserted above); the pass
             // timings are noisy, so report their per-field medians to stay
             // consistent with the median wall-clock.
@@ -366,7 +413,7 @@ fn main() {
                 workload: cell.app.name(),
                 threads: cell.threads,
                 period: cell.period,
-                shards,
+                engine,
                 wall_ns: medians[i],
                 speedup: baseline_wall as f64 / medians[i] as f64,
                 events: cell_events,
@@ -374,7 +421,9 @@ fn main() {
         }
     }
 
-    println!("Simulator throughput: matrix-cell pipeline wall-clock by shard count");
+    println!(
+        "Simulator throughput: matrix-cell pipeline wall-clock by shard count (ref = reference loop)"
+    );
     println!("(median of {reps} repeats; events: merged | ordered = merged - surfaced | folded)\n");
     println!(
         "{}",
@@ -395,7 +444,7 @@ fn main() {
             cheetah_bench::row(&[
                 r.workload.into(),
                 r.threads.to_string(),
-                r.shards.to_string(),
+                engine_column(r.engine),
                 format!("{:.1}", r.wall_ns as f64 / 1e6),
                 format!("{:.2}x", r.speedup),
                 r.events.merged_events.to_string(),
@@ -406,9 +455,9 @@ fn main() {
     }
 
     // Aggregate rows by thread count: the matrix-row view of the gate.
-    let mut rows: BTreeMap<(u32, u32), (u128, u64, u64)> = BTreeMap::new();
+    let mut rows: BTreeMap<(u32, Engine), (u128, u64, u64)> = BTreeMap::new();
     for r in &records {
-        let row = rows.entry((r.threads, r.shards)).or_insert((0, 0, 0));
+        let row = rows.entry((r.threads, r.engine)).or_insert((0, 0, 0));
         row.0 += r.wall_ns;
         row.1 += r.events.merged_events;
         row.2 += r.ordered_events();
@@ -424,26 +473,27 @@ fn main() {
             "ordered".into(),
         ])
     );
-    let mut row_records: Vec<(u32, u32, u128, f64, u64, u64)> = Vec::new();
+    let mut row_records: Vec<(u32, Engine, u128, f64, u64, u64)> = Vec::new();
     let mut regressions: Vec<String> = Vec::new();
-    for (&(threads, shards), &(wall, merged, ordered)) in &rows {
-        let base = rows[&(threads, 1)].0;
+    for (&(threads, engine), &(wall, merged, ordered)) in &rows {
+        let base = rows[&(threads, None)].0;
         let speedup = base as f64 / wall as f64;
-        row_records.push((threads, shards, wall, speedup, merged, ordered));
+        row_records.push((threads, engine, wall, speedup, merged, ordered));
         println!(
             "{}",
             cheetah_bench::row(&[
                 threads.to_string(),
-                shards.to_string(),
+                engine_column(engine),
                 format!("{:.1}", wall as f64 / 1e6),
                 format!("{:.2}x", speedup),
                 ordered.to_string(),
             ])
         );
-        if shards >= 2 && (wall as f64) > base as f64 * (1.0 + tolerance) {
+        if engine.is_some() && (wall as f64) > base as f64 * (1.0 + tolerance) {
             regressions.push(format!(
-                "row threads={threads} shards={shards}: {:.1}ms vs {:.1}ms single-threaded \
-                 ({speedup:.2}x, slower beyond {tolerance:.0}% tolerance)",
+                "row threads={threads} shards={}: {:.1}ms vs {:.1}ms on the reference \
+                 loop ({speedup:.2}x, slower beyond {tolerance:.0}% tolerance)",
+                engine_column(engine),
                 wall as f64 / 1e6,
                 base as f64 / 1e6,
                 tolerance = tolerance * 100.0
@@ -455,7 +505,7 @@ fn main() {
     // breakdown means the classify/precompute/merge timers silently
     // stopped reporting — fail `--check` rather than publish hollow data.
     for r in &records {
-        if r.shards >= 2
+        if r.engine.is_some()
             && (r.events.classify_ns == 0 || r.events.precompute_ns == 0 || r.events.merge_ns == 0)
         {
             regressions.push(format!(
@@ -463,7 +513,7 @@ fn main() {
                  (classify={} precompute={} merge={} ns) — sharded passes unreported",
                 r.workload,
                 r.threads,
-                r.shards,
+                engine_column(r.engine),
                 r.events.classify_ns,
                 r.events.precompute_ns,
                 r.events.merge_ns
@@ -482,16 +532,17 @@ fn main() {
     let cell_records: Vec<String> = records
         .iter()
         .map(|r| {
+            let (engine, shards) = engine_fields(r.engine);
             format!(
                 "    {{\"workload\": \"{}\", \"threads\": {}, \"period\": {}, \
-                 \"shards\": {}, \"schedule\": \"observed\", \"wall_ns\": {}, \"speedup\": {:.4}, \
+                 \"engine\": \"{engine}\", \"shards\": {shards}, \"schedule\": \"observed\", \
+                 \"wall_ns\": {}, \"speedup\": {:.4}, \
                  \"merged_events\": {}, \"folded_events\": {}, \"surfaced_events\": {}, \
                  \"ordered_events\": {}, \"pass_breakdown\": {{\"classify_ns\": {}, \
                  \"precompute_ns\": {}, \"merge_ns\": {}}}, \"identical\": true}}",
                 r.workload,
                 r.threads,
                 r.period,
-                r.shards,
                 r.wall_ns,
                 r.speedup,
                 r.events.merged_events,
@@ -508,9 +559,10 @@ fn main() {
     json.push_str("\n  ],\n  \"rows\": [\n");
     let row_json: Vec<String> = row_records
         .iter()
-        .map(|(threads, shards, wall, speedup, merged, ordered)| {
+        .map(|(threads, engine, wall, speedup, merged, ordered)| {
+            let (engine, shards) = engine_fields(*engine);
             format!(
-                "    {{\"threads\": {threads}, \"shards\": {shards}, \
+                "    {{\"threads\": {threads}, \"engine\": \"{engine}\", \"shards\": {shards}, \
                  \"wall_ns\": {wall}, \"speedup\": {speedup:.4}, \
                  \"merged_events\": {merged}, \"ordered_events\": {ordered}}}"
             )
@@ -543,7 +595,7 @@ fn main() {
         }
     } else if check {
         println!(
-            "check passed: no sharded row slower than single-threaded; \
+            "check passed: no sharded row slower than the reference loop; \
              all sharded cells report a nonzero pass breakdown"
         );
     }

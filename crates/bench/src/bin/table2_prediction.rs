@@ -77,10 +77,9 @@ fn measure(cell: SweepCell, shards: u32, obs: &ObsHandle) -> Row {
 }
 
 fn main() {
-    // `--shards N`: host threads for sharded simulator execution (see
-    // `MachineConfig::shards`; 0 = auto, 1 = classic loop). Results are
-    // bit-identical for every value — only wall-clock changes — so the
-    // default exercises the sharded path.
+    // `--shards N`: host threads for the sharded executor's precompute
+    // pass (see `MachineConfig::shards`; 0 = auto). Results are
+    // bit-identical for every value — only wall-clock changes.
     let mut shards = 4u32;
     let mut trace_path: Option<String> = None;
     let mut args = std::env::args().skip(1);

@@ -555,23 +555,31 @@ mod tests {
     fn sharded_execution_profiles_identically() {
         // The profiler's replica path: under sharding only sampled accesses
         // reach on_access, yet the profile — samples, detector state,
-        // assessed instances, timings — must be bit-identical.
-        let profile_at = |shards: u32| {
+        // assessed instances, timings — must be bit-identical to the
+        // reference per-op loop, where every access reaches on_access.
+        // `None` runs the reference loop.
+        let profile_at = |shards: Option<u32>| {
             let (space, program) = fs_setup(60_000);
-            let machine = Machine::new(MachineConfig::with_cores(8).with_shards(shards));
+            let machine =
+                Machine::new(MachineConfig::with_cores(8).with_shards(shards.unwrap_or(1)));
             let mut profiler = CheetahProfiler::new(CheetahConfig::with_period(512), &space);
-            let report = machine.run(program, &mut profiler);
+            let report = match shards {
+                Some(_) => machine.run(program, &mut profiler),
+                None => machine.run_reference(program, &mut profiler),
+            };
             (report, profiler.finish())
         };
-        let (report1, profile1) = profile_at(1);
-        let (report4, profile4) = profile_at(4);
-        assert_eq!(report1, report4);
-        assert_eq!(profile1.total_cycles, profile4.total_cycles);
-        assert_eq!(profile1.total_samples, profile4.total_samples);
-        assert_eq!(profile1.filtered_samples, profile4.filtered_samples);
-        assert_eq!(profile1.phases, profile4.phases);
-        assert_eq!(profile1.threads, profile4.threads);
-        assert_eq!(profile1.render_report(), profile4.render_report());
+        let (report1, profile1) = profile_at(None);
+        for shards in [1, 4] {
+            let (report4, profile4) = profile_at(Some(shards));
+            assert_eq!(report1, report4);
+            assert_eq!(profile1.total_cycles, profile4.total_cycles);
+            assert_eq!(profile1.total_samples, profile4.total_samples);
+            assert_eq!(profile1.filtered_samples, profile4.filtered_samples);
+            assert_eq!(profile1.phases, profile4.phases);
+            assert_eq!(profile1.threads, profile4.threads);
+            assert_eq!(profile1.render_report(), profile4.render_report());
+        }
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Resets the counter to zero (bench / test support; counters are
-    /// otherwise monotonic).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-write-wins instantaneous value (table sizes, watermarks).
@@ -333,8 +327,7 @@ impl ObsHandle {
 
     /// The process-wide default registry.
     ///
-    /// Counters, gauges and histograms work normally (this is what backs
-    /// the legacy `cheetah_sim::metrics::snapshot()` API); span tracing is
+    /// Counters, gauges and histograms work normally; span tracing is
     /// disabled so code that never opts into a scoped registry cannot
     /// accumulate an unbounded span buffer.
     pub fn global() -> Self {

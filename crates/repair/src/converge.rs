@@ -209,8 +209,9 @@ impl fmt::Display for ConvergenceTrace {
 ///
 /// let app = find("microbench").unwrap();
 /// let config = AppConfig::with_threads(4).scaled(0.03);
-/// // `with_shards(4)`: sharded deterministic execution — the trace is
-/// // bit-identical to a `shards = 1` run, only faster.
+/// // `with_shards(4)`: four host threads for the sharded executor's
+/// // precompute pass — the trace is bit-identical at every shard count
+/// // and to the reference per-op loop, only faster.
 /// let harness = ValidationHarness::calibrated(
 ///     Machine::new(MachineConfig::with_cores(8).with_shards(4)),
 ///     CheetahConfig::scaled(256),
@@ -259,7 +260,7 @@ where
         let (program, mut space) = build().into_parts();
         let repaired = apply_iterations(program, plans, &mut space)?;
         let mut profiler = CheetahProfiler::new(cheetah.clone(), &space);
-        machine.run(repaired, &mut profiler);
+        harness.run(repaired, &mut profiler);
         Ok(profiler.finish())
     };
 

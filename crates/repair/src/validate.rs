@@ -11,7 +11,7 @@
 use crate::plan::{synthesize, RepairPlan};
 use crate::rewrite::{repair_program, RepairError};
 use cheetah_core::{format_prediction_table, CheetahConfig, CheetahProfiler, PredictionRow};
-use cheetah_sim::{Cycles, Machine, NullObserver};
+use cheetah_sim::{Cycles, ExecObserver, Machine, NullObserver, Program, RunReport};
 use cheetah_workloads::WorkloadInstance;
 use std::fmt;
 
@@ -106,12 +106,18 @@ impl fmt::Display for ValidationOutcome {
 pub struct ValidationHarness {
     machine: Machine,
     config: CheetahConfig,
+    /// Run every simulation on [`Machine::run_reference`].
+    reference: bool,
 }
 
 impl ValidationHarness {
     /// Creates a harness.
     pub fn new(machine: Machine, config: CheetahConfig) -> Self {
-        ValidationHarness { machine, config }
+        ValidationHarness {
+            machine,
+            config,
+            reference: false,
+        }
     }
 
     /// Creates a harness whose machine constants are calibrated: programs
@@ -126,12 +132,29 @@ impl ValidationHarness {
         config.detector.cycles_per_instruction =
             machine.config().latency.cycles_per_instruction as f64;
         config.detector.coherence_miss_latency = machine.config().latency.remote_dirty as f64;
-        ValidationHarness { machine, config }
+        ValidationHarness::new(machine, config)
+    }
+
+    /// Returns the harness with every run on the reference per-op loop
+    /// ([`Machine::run_reference`]): the oracle that repair results on the
+    /// default engine are checked against.
+    pub fn on_reference_loop(mut self) -> Self {
+        self.reference = true;
+        self
     }
 
     /// The machine programs run on.
     pub fn machine(&self) -> &Machine {
         &self.machine
+    }
+
+    /// Runs `program` on the harness's machine and engine.
+    pub fn run(&self, program: Program, observer: &mut dyn ExecObserver) -> RunReport {
+        if self.reference {
+            self.machine.run_reference(program, observer)
+        } else {
+            self.machine.run(program, observer)
+        }
     }
 
     /// The profiler configuration runs use.
@@ -171,17 +194,14 @@ impl ValidationHarness {
 
         // Baseline: the broken build, unprofiled.
         let instance = build();
-        let broken_cycles = self
-            .machine
-            .run(instance.program, &mut NullObserver)
-            .total_cycles;
+        let broken_cycles = self.run(instance.program, &mut NullObserver).total_cycles;
 
         // Profiled run: detection + per-instance predictions, with the
         // perturbation-free config so prediction and measurement share a
         // baseline (see [`ValidationHarness::non_perturbing_config`]).
         let instance = build();
         let mut profiler = CheetahProfiler::new(self.non_perturbing_config(), &instance.space);
-        self.machine.run(instance.program, &mut profiler);
+        self.run(instance.program, &mut profiler);
         let profile = profiler.finish();
 
         // Synthesize one plan per false-sharing instance.
@@ -200,7 +220,7 @@ impl ValidationHarness {
             let (program, space) = fresh.into_parts();
             let mut space = space;
             let (repaired, _) = repair_program(program, std::slice::from_ref(plan), &mut space)?;
-            let repaired_cycles = self.machine.run(repaired, &mut NullObserver).total_cycles;
+            let repaired_cycles = self.run(repaired, &mut NullObserver).total_cycles;
             let actual = if repaired_cycles == 0 {
                 1.0
             } else {
@@ -226,7 +246,7 @@ impl ValidationHarness {
             let mut space = space;
             let plans: Vec<RepairPlan> = planned.iter().map(|(p, _)| p.clone()).collect();
             let (repaired, _) = repair_program(program, &plans, &mut space)?;
-            self.machine.run(repaired, &mut NullObserver).total_cycles
+            self.run(repaired, &mut NullObserver).total_cycles
         };
 
         Ok(ValidationOutcome {

@@ -210,8 +210,8 @@ fn iteration_records_chain() {
 
 /// Sharded simulator execution must not change convergence at all: the
 /// full profile → fix → re-profile loop produces a bit-identical trace
-/// whether the machine interleaves threads classically (`shards = 1`) or
-/// merges sharded event streams (`shards = 4`).
+/// whether the machine interleaves threads on the reference per-op loop
+/// or merges sharded event streams (at `shards = 1` and `shards = 4`).
 #[test]
 fn converge_identical_under_sharded_execution() {
     let app = find("linear_regression").unwrap();
@@ -221,11 +221,16 @@ fn converge_identical_under_sharded_execution() {
         fixed: false,
         seed: 1,
     };
-    let trace_at = |shards: u32| {
+    // `None` runs the reference loop.
+    let trace_at = |shards: Option<u32>| {
         let harness = ValidationHarness::calibrated(
-            Machine::new(MachineConfig::with_cores(16).with_shards(shards)),
+            Machine::new(MachineConfig::with_cores(16).with_shards(shards.unwrap_or(1))),
             CheetahConfig::scaled(96),
         );
+        let harness = match shards {
+            Some(_) => harness,
+            None => harness.on_reference_loop(),
+        };
         converge(
             &harness,
             "linear_regression",
@@ -234,11 +239,13 @@ fn converge_identical_under_sharded_execution() {
         )
         .expect("plans apply")
     };
-    let classic = trace_at(1);
-    let sharded = trace_at(4);
-    assert_eq!(classic.iterations, sharded.iterations);
-    assert_eq!(classic.initial_cycles, sharded.initial_cycles);
-    assert_eq!(classic.final_cycles, sharded.final_cycles);
-    assert_eq!(classic.initial_samples, sharded.initial_samples);
-    assert_eq!(classic.converged, sharded.converged);
+    let classic = trace_at(None);
+    for shards in [1, 4] {
+        let sharded = trace_at(Some(shards));
+        assert_eq!(classic.iterations, sharded.iterations);
+        assert_eq!(classic.initial_cycles, sharded.initial_cycles);
+        assert_eq!(classic.final_cycles, sharded.final_cycles);
+        assert_eq!(classic.initial_samples, sharded.initial_samples);
+        assert_eq!(classic.converged, sharded.converged);
+    }
 }

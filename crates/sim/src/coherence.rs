@@ -372,7 +372,7 @@ impl Directory {
     /// exactly as [`Directory::seed_of`] resolves them), LLC residency
     /// (the union of the per-line set and the extent ranges), per-core
     /// prefetch cursors, and the aggregate statistics. Busy windows are
-    /// deliberately **excluded**: the classic loop leaves stale
+    /// deliberately **excluded**: the per-op loop leaves stale
     /// `busy_until` stamps on lines whose contention has already resolved,
     /// while the sharded write-back clears them — both representations
     /// mean "no pending transaction reaches into the next phase", which is

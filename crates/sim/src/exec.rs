@@ -1,10 +1,16 @@
 //! The execution engine: runs a [`Program`] on a simulated machine.
 //!
-//! Threads in a parallel phase are interleaved by a discrete-event loop
-//! keyed on per-thread virtual clocks, so memory accesses reach the
-//! coherence [`Directory`] in global time order and write ping-pong between
-//! cores unfolds exactly as on a real machine. The engine is fully
-//! deterministic: identical programs produce identical reports.
+//! Every phase whose threads fit on distinct cores runs on the sharded
+//! executor ([`crate::shard`]). This module keeps the per-op
+//! discrete-event loop in two roles: it runs oversubscribed phases (more
+//! workers than cores — the only path that models two threads sharing one
+//! private cache), and it is the reference oracle behind
+//! [`Machine::run_reference`], against which the sharded executor is
+//! proven bit-identical. The loop interleaves threads on per-thread
+//! virtual clocks, so memory accesses reach the coherence [`Directory`]
+//! in global time order and write ping-pong between cores unfolds exactly
+//! as on a real machine. Both engines are fully deterministic: identical
+//! programs produce identical reports.
 
 use crate::coherence::{Directory, MAX_CORES};
 use crate::latency::LatencyModel;
@@ -37,13 +43,11 @@ pub struct MachineConfig {
     pub latency: LatencyModel,
     /// Main-thread cycles consumed by each `pthread_create`.
     pub thread_spawn_cost: Cycles,
-    /// Host threads used to *shard* parallel phases (the `--shards N` knob
-    /// of the bench harnesses). `1` (the default) runs the classic
-    /// single-threaded discrete-event loop; `0` means "auto" (the host's
-    /// available parallelism); `>= 2` executes each parallel phase in two
-    /// passes — per-worker event precomputation fanned out over this many
-    /// host threads, then a deterministic merge ordered by
-    /// `(timestamp, worker, seq)` (see [`crate::shard`]). Reports are
+    /// Host threads the sharded executor fans each parallel phase's
+    /// per-worker precompute pass out over (the `--shards N` knob of the
+    /// bench harnesses); `0` means "auto" (the host's available
+    /// parallelism). It selects no engine: every value runs the same
+    /// sharded executor (see [`crate::shard`]), and reports are
     /// bit-identical for every value; only wall-clock time changes.
     pub shards: u32,
     /// Telemetry registry the run reports into: execution counters
@@ -70,13 +74,13 @@ pub struct MachineConfig {
     pub audit_footprints: bool,
     /// How parallel phases order the sharded merge's residue events.
     /// [`SchedulePolicy::Observed`] (the default) replays the observed
-    /// timestamp order — bit-identical to the classic loop at every shard
-    /// count. A perturbed policy replays a different feasible
-    /// interleaving of the same per-worker event streams, deterministic
-    /// given the policy's seed (see [`crate::schedule`]). Perturbed
-    /// policies route parallel phases through the sharded executor even
-    /// at `shards = 1`; oversubscribed phases (more workers than cores)
-    /// fall back to the classic loop and ignore the policy.
+    /// timestamp order — bit-identical to the reference per-op loop
+    /// ([`Machine::run_reference`]) at every shard count. A perturbed
+    /// policy replays a different feasible interleaving of the same
+    /// per-worker event streams, deterministic given the policy's seed
+    /// (see [`crate::schedule`]). The per-op loop has no residue to
+    /// reorder, so oversubscribed phases (more workers than cores) and
+    /// reference runs ignore the policy.
     pub schedule: SchedulePolicy,
 }
 
@@ -105,8 +109,9 @@ impl MachineConfig {
         }
     }
 
-    /// Returns the configuration with the shard count replaced (builder
-    /// style): `0` = auto, `1` = classic serial loop, `>= 2` = sharded.
+    /// Returns the configuration with the precompute host-thread count
+    /// replaced (builder style); `0` = auto. See
+    /// [`shards`](MachineConfig::shards).
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = shards;
         self
@@ -229,7 +234,18 @@ impl Machine {
     ///
     /// The program is consumed: streams are stateful and single-shot.
     pub fn run(&self, program: Program, observer: &mut dyn ExecObserver) -> RunReport {
-        Execution::new(&self.config, observer).run(program)
+        Execution::new(&self.config, observer, false).run(program)
+    }
+
+    /// Runs `program` on the reference per-op loop: every access takes one
+    /// discrete-event step and one observer callback, whatever the phase
+    /// shape, shard count or schedule policy. The test oracle the sharded
+    /// executor is proven bit-identical against — same [`RunReport`], same
+    /// surfaced access stream, same sample sequence as [`Machine::run`]
+    /// under [`SchedulePolicy::Observed`] — sharing its witness, footprint
+    /// audit and telemetry plumbing.
+    pub fn run_reference(&self, program: Program, observer: &mut dyn ExecObserver) -> RunReport {
+        Execution::new(&self.config, observer, true).run(program)
     }
 }
 
@@ -319,17 +335,16 @@ struct Execution<'a> {
     observer: &'a mut dyn ExecObserver,
     directory: Directory,
     latency: LatencyModel,
-    /// Resolved shard count; `>= 2` enables the sharded parallel-phase path.
+    /// Resolved precompute host-thread count.
     shards: u32,
-    /// Accesses replayed individually by the classic loop (flushed into
-    /// the run's counters once per run to keep atomics off the hot path).
-    classic_ops: u64,
+    /// Run every phase on the per-op loop ([`Machine::run_reference`]).
+    reference: bool,
     /// The run's counter handles, resolved once from `config.obs`.
     counters: SimCounters,
 }
 
 impl<'a> Execution<'a> {
-    fn new(config: &'a MachineConfig, observer: &'a mut dyn ExecObserver) -> Self {
+    fn new(config: &'a MachineConfig, observer: &'a mut dyn ExecObserver, reference: bool) -> Self {
         if config.obs.tracing_enabled() {
             config.obs.name_lane(OBS_LANE_ENGINE, "engine");
         }
@@ -339,7 +354,7 @@ impl<'a> Execution<'a> {
             directory: Directory::new(config.latency.clone()),
             latency: config.latency.clone(),
             shards: config.resolved_shards(),
-            classic_ops: 0,
+            reference,
             counters: SimCounters::of(&config.obs),
         }
     }
@@ -424,7 +439,9 @@ impl<'a> Execution<'a> {
                     } else {
                         stream
                     };
-                    if self.shards >= 2 {
+                    if self.reference {
+                        self.run_serial(&mut main, index);
+                    } else {
                         crate::shard::run_serial_sharded(
                             self.config,
                             &mut self.directory,
@@ -432,8 +449,6 @@ impl<'a> Execution<'a> {
                             &mut main,
                             index,
                         );
-                    } else {
-                        self.run_serial(&mut main, index);
                     }
                     phase_reports.push(PhaseReport {
                         index,
@@ -472,16 +487,14 @@ impl<'a> Execution<'a> {
                     }
                     // Sharded execution requires each phase member to own a
                     // distinct core: workers sharing a core interleave
-                    // through one private cache, which only the classic
-                    // per-op loop models. Slot-to-core binding is
+                    // through one private cache, which only the per-op
+                    // loop models. Slot-to-core binding is
                     // `(1 + slot) % num_cores`, so cores are distinct
                     // exactly when the phase has at most `num_cores`
                     // workers.
-                    // A perturbed schedule policy also routes through the
-                    // sharded executor (the residue reordering lives in
-                    // its merge), even at `shards = 1`.
-                    let sharded_route = self.shards >= 2 || !self.config.schedule.is_observed();
-                    let ends = if sharded_route && workers.len() as u32 <= self.config.num_cores {
+                    let ends = if self.reference || workers.len() as u32 > self.config.num_cores {
+                        self.run_parallel(&mut workers, index)
+                    } else {
                         crate::shard::run_parallel_sharded(
                             self.config,
                             &mut self.directory,
@@ -490,8 +503,6 @@ impl<'a> Execution<'a> {
                             index,
                             self.shards as usize,
                         )
-                    } else {
-                        self.run_parallel(&mut workers, index)
                     };
                     let mut phase_threads = Vec::with_capacity(workers.len());
                     let mut phase_end = main.clock;
@@ -547,7 +558,6 @@ impl<'a> Execution<'a> {
             },
         );
 
-        self.counters.count_merged(self.classic_ops);
         RunReport {
             program: program_name,
             total_cycles: total,
@@ -557,11 +567,15 @@ impl<'a> Execution<'a> {
         }
     }
 
-    /// Runs the main thread's stream to exhaustion (serial phase).
+    /// Runs the main thread's stream to exhaustion (serial phase). Every
+    /// access is counted as merged: the per-op loop orders each one.
     fn run_serial(&mut self, main: &mut ThreadCtx, phase_index: u32) {
+        let before = main.reads + main.writes;
         while let Some(op) = main.stream.next_op() {
             self.step(main, op, phase_index, PhaseKind::Serial);
         }
+        self.counters
+            .count_merged(main.reads + main.writes - before);
     }
 
     /// Runs all workers of a parallel phase to completion; returns each
@@ -603,6 +617,8 @@ impl<'a> Execution<'a> {
                 heap.push(Reverse((workers[slot].clock, slot)));
             }
         }
+        self.counters
+            .count_merged(workers.iter().map(|w| w.reads + w.writes).sum());
         ends
     }
 
@@ -614,7 +630,6 @@ impl<'a> Execution<'a> {
                 thread.clock += n * self.latency.cycles_per_instruction;
             }
             Op::Read(addr) | Op::Write(addr) => {
-                self.classic_ops += 1;
                 let kind = if matches!(op, Op::Write(_)) {
                     AccessKind::Write
                 } else {
@@ -660,6 +675,26 @@ mod tests {
         Machine::new(MachineConfig::with_cores(cores))
     }
 
+    /// Runs the program `build` makes on the reference per-op loop and on
+    /// the default engine, each under a fresh observer from `observer`;
+    /// asserts identical reports and returns the report with the
+    /// reference and default observers.
+    fn run_both<O: ExecObserver>(
+        m: &Machine,
+        build: impl Fn() -> Program,
+        observer: impl Fn() -> O,
+    ) -> (RunReport, O, O) {
+        let mut reference_observer = observer();
+        let reference = m.run_reference(build(), &mut reference_observer);
+        let mut default_observer = observer();
+        let report = m.run(build(), &mut default_observer);
+        assert_eq!(
+            reference, report,
+            "default engine diverged from the reference loop"
+        );
+        (reference, reference_observer, default_observer)
+    }
+
     #[test]
     fn config_validation() {
         assert!(Machine::try_new(MachineConfig::with_cores(0)).is_err());
@@ -685,17 +720,19 @@ mod tests {
     fn serial_program_time_is_work_plus_latency() {
         let m = machine(4);
         let lat = m.config().latency.clone();
-        let program = ProgramBuilder::new("serial")
-            .serial(ThreadSpec::new(
-                "s",
-                OpsStream::new(vec![
-                    Op::Work(100),
-                    Op::Write(Addr(0x1000)),
-                    Op::Read(Addr(0x1000)),
-                ]),
-            ))
-            .build();
-        let report = m.run(program, &mut NullObserver);
+        let build = || {
+            ProgramBuilder::new("serial")
+                .serial(ThreadSpec::new(
+                    "s",
+                    OpsStream::new(vec![
+                        Op::Work(100),
+                        Op::Write(Addr(0x1000)),
+                        Op::Read(Addr(0x1000)),
+                    ]),
+                ))
+                .build()
+        };
+        let (report, ..) = run_both(&m, build, || NullObserver);
         // 100 work + cold write (memory) + read hit.
         assert_eq!(report.total_cycles, 100 + lat.memory + lat.l1_hit);
         assert_eq!(report.threads[0].instructions, 102);
@@ -706,13 +743,15 @@ mod tests {
     #[test]
     fn parallel_phase_ends_at_slowest_thread() {
         let m = machine(8);
-        let program = ProgramBuilder::new("p")
-            .parallel(vec![
-                ThreadSpec::new("fast", OpsStream::new(vec![Op::Work(10)])),
-                ThreadSpec::new("slow", OpsStream::new(vec![Op::Work(10_000)])),
-            ])
-            .build();
-        let report = m.run(program, &mut NullObserver);
+        let build = || {
+            ProgramBuilder::new("p")
+                .parallel(vec![
+                    ThreadSpec::new("fast", OpsStream::new(vec![Op::Work(10)])),
+                    ThreadSpec::new("slow", OpsStream::new(vec![Op::Work(10_000)])),
+                ])
+                .build()
+        };
+        let (report, ..) = run_both(&m, build, || NullObserver);
         let slow = report.thread(ThreadId(2)).unwrap();
         assert_eq!(report.phases[0].end, slow.end);
         assert!(report.total_cycles >= 10_000);
@@ -742,8 +781,8 @@ mod tests {
                 )
                 .build()
         };
-        let shared = m.run(build(4), &mut NullObserver);
-        let padded = m.run(build(64), &mut NullObserver);
+        let (shared, ..) = run_both(&m, || build(4), || NullObserver);
+        let (padded, ..) = run_both(&m, || build(64), || NullObserver);
         assert!(
             shared.total_cycles > 3 * padded.total_cycles,
             "false sharing should dominate: shared={} padded={}",
@@ -779,32 +818,35 @@ mod tests {
                 )
                 .build()
         };
-        let a = m.run(build(), &mut NullObserver);
-        let b = m.run(build(), &mut NullObserver);
+        let (a, ..) = run_both(&m, build, || NullObserver);
+        let (b, ..) = run_both(&m, build, || NullObserver);
         assert_eq!(a, b);
     }
 
     #[test]
     fn observer_sees_every_event() {
         let m = machine(4);
-        let program = ProgramBuilder::new("events")
-            .serial(ThreadSpec::new(
-                "init",
-                OpsStream::new(vec![Op::Write(Addr(0x40))]),
-            ))
-            .parallel(vec![
-                ThreadSpec::new("a", OpsStream::new(vec![Op::Read(Addr(0x40))])),
-                ThreadSpec::new("b", OpsStream::new(vec![Op::Read(Addr(0x80))])),
-            ])
-            .build();
-        let mut counter = CountingObserver::default();
-        let report = m.run(program, &mut counter);
-        assert_eq!(counter.thread_starts, 3); // main + 2 workers
-        assert_eq!(counter.thread_exits, 3);
-        assert_eq!(counter.phase_starts, 2);
-        assert_eq!(counter.phase_ends, 2);
-        assert_eq!(counter.accesses, 3);
-        assert_eq!(counter.writes, 1);
+        let build = || {
+            ProgramBuilder::new("events")
+                .serial(ThreadSpec::new(
+                    "init",
+                    OpsStream::new(vec![Op::Write(Addr(0x40))]),
+                ))
+                .parallel(vec![
+                    ThreadSpec::new("a", OpsStream::new(vec![Op::Read(Addr(0x40))])),
+                    ThreadSpec::new("b", OpsStream::new(vec![Op::Read(Addr(0x80))])),
+                ])
+                .build()
+        };
+        let (report, reference, default) = run_both(&m, build, CountingObserver::default);
+        for counter in [reference, default] {
+            assert_eq!(counter.thread_starts, 3); // main + 2 workers
+            assert_eq!(counter.thread_exits, 3);
+            assert_eq!(counter.phase_starts, 2);
+            assert_eq!(counter.phase_ends, 2);
+            assert_eq!(counter.accesses, 3);
+            assert_eq!(counter.writes, 1);
+        }
         assert_eq!(report.total_accesses(), 3);
     }
 
@@ -825,8 +867,8 @@ mod tests {
                 ))
                 .build()
         };
-        let clean = m.run(build(), &mut NullObserver);
-        let trapped = m.run(build(), &mut Trap);
+        let (clean, ..) = run_both(&m, build, || NullObserver);
+        let (trapped, ..) = run_both(&m, build, || Trap);
         assert_eq!(trapped.total_cycles, clean.total_cycles + 2_000);
     }
 
@@ -851,22 +893,24 @@ mod tests {
                 )])
                 .build()
         };
-        let clean = m.run(build(), &mut NullObserver);
-        let with_setup = m.run(build(), &mut Setup);
+        let (clean, ..) = run_both(&m, build, || NullObserver);
+        let (with_setup, ..) = run_both(&m, build, || Setup);
         assert_eq!(with_setup.total_cycles, clean.total_cycles + 50_000);
     }
 
     #[test]
     fn spawn_cost_serialises_thread_starts() {
         let m = machine(8);
-        let program = ProgramBuilder::new("spawn")
-            .parallel(
-                (0..3)
-                    .map(|i| ThreadSpec::new(format!("w{i}"), OpsStream::new(vec![])))
-                    .collect(),
-            )
-            .build();
-        let report = m.run(program, &mut NullObserver);
+        let build = || {
+            ProgramBuilder::new("spawn")
+                .parallel(
+                    (0..3)
+                        .map(|i| ThreadSpec::new(format!("w{i}"), OpsStream::new(vec![])))
+                        .collect(),
+                )
+                .build()
+        };
+        let (report, ..) = run_both(&m, build, || NullObserver);
         let spawn = m.config().thread_spawn_cost;
         assert_eq!(report.thread(ThreadId(1)).unwrap().start, spawn);
         assert_eq!(report.thread(ThreadId(2)).unwrap().start, 2 * spawn);
@@ -881,11 +925,13 @@ mod tests {
                 .map(|i| ThreadSpec::new(format!("w{i}"), OpsStream::new(vec![Op::Work(1)])))
                 .collect::<Vec<_>>()
         };
-        let program = ProgramBuilder::new("phases")
-            .parallel(mk(2))
-            .parallel(mk(2))
-            .build();
-        let report = m.run(program, &mut NullObserver);
+        let build = || {
+            ProgramBuilder::new("phases")
+                .parallel(mk(2))
+                .parallel(mk(2))
+                .build()
+        };
+        let (report, ..) = run_both(&m, build, || NullObserver);
         let ids: Vec<u32> = report.threads.iter().map(|t| t.id.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         assert_eq!(report.thread(ThreadId(3)).unwrap().phase_index, 1);
@@ -895,19 +941,21 @@ mod tests {
     fn workers_share_cores_when_oversubscribed() {
         // 3 cores, 4 workers: worker slots 0..4 map to cores 1,2,0,1.
         let m = machine(3);
-        let program = ProgramBuilder::new("over")
-            .parallel(
-                (0..4u64)
-                    .map(|t| {
-                        ThreadSpec::new(
-                            format!("w{t}"),
-                            LoopStream::new(vec![Op::Write(Addr(0x9000))], 100),
-                        )
-                    })
-                    .collect(),
-            )
-            .build();
-        let report = m.run(program, &mut NullObserver);
+        let build = || {
+            ProgramBuilder::new("over")
+                .parallel(
+                    (0..4u64)
+                        .map(|t| {
+                            ThreadSpec::new(
+                                format!("w{t}"),
+                                LoopStream::new(vec![Op::Write(Addr(0x9000))], 100),
+                            )
+                        })
+                        .collect(),
+                )
+                .build()
+        };
+        let (report, ..) = run_both(&m, build, || NullObserver);
         // Writes to the same line from the same core are hits, so total
         // invalidations stay below the all-distinct-cores worst case.
         assert!(report.coherence.invalidations < 400);

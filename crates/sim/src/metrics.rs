@@ -7,15 +7,14 @@
 //! and emits merged/folded/surfaced counts next to wall-clock, and the CI
 //! gate fails if a streaming workload starts replaying per-line again.
 //!
-//! Since the `cheetah-obs` integration the counters live in an
-//! [`ObsRegistry`](cheetah_obs::ObsRegistry) — by default the process-wide
-//! global one, preserving the historical `snapshot()`/`reset()` behaviour,
-//! but a run that carries its own registry in
-//! [`MachineConfig::obs`](crate::MachineConfig) gets fully independent
-//! counts (read them with [`snapshot_of`]). Counters stay deliberately
-//! **outside** [`crate::RunReport`]: reports are bit-identical across
-//! shard counts, while these counts describe the execution *strategy* and
-//! legitimately differ between the classic loop and sharded runs.
+//! The counters live in the [`ObsRegistry`](cheetah_obs::ObsRegistry) a
+//! run carries in [`MachineConfig::obs`](crate::MachineConfig); read them
+//! with [`snapshot_of`]. Counters stay deliberately **outside**
+//! [`crate::RunReport`]: reports are bit-identical between the sharded
+//! executor and the reference per-op loop
+//! ([`Machine::run_reference`](crate::Machine::run_reference)), while
+//! these counts describe the execution *strategy* and legitimately differ
+//! between them.
 
 use cheetah_obs::{Counter, ObsHandle};
 
@@ -48,11 +47,11 @@ pub const SCHED_SELECTIONS: &str = "sched.selections";
 /// from the observed interleaving.
 pub const SCHED_REORDERED: &str = "sched.reordered_events";
 
-/// Counter snapshot; see [`snapshot`] for field meanings.
+/// Counter snapshot of one registry; see [`snapshot_of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecMetrics {
-    /// Events processed *individually* in global order: every classic-loop
-    /// access, and in sharded runs each directory event, each walked
+    /// Events processed *individually* in global order: every access the
+    /// per-op loop runs, and in sharded runs each directory event, each walked
     /// hit-run read, each heap pop and each surfaced access the merge
     /// replays one by one.
     pub merged_events: u64,
@@ -112,29 +111,6 @@ pub fn snapshot_of(obs: &ObsHandle) -> ExecMetrics {
         footprint_violations: obs.counter(FOOTPRINT_VIOLATIONS).get(),
         sched_selections: obs.counter(SCHED_SELECTIONS).get(),
         sched_reordered: obs.counter(SCHED_REORDERED).get(),
-    }
-}
-
-/// Reads the current counter values from the global registry.
-pub fn snapshot() -> ExecMetrics {
-    snapshot_of(&ObsHandle::global())
-}
-
-/// Resets the global registry's counters to zero.
-pub fn reset() {
-    let obs = ObsHandle::global();
-    for name in [
-        MERGED_EVENTS,
-        FOLDED_EVENTS,
-        SURFACED_EVENTS,
-        CLASSIFY_NS,
-        PRECOMPUTE_NS,
-        MERGE_NS,
-        FOOTPRINT_VIOLATIONS,
-        SCHED_SELECTIONS,
-        SCHED_REORDERED,
-    ] {
-        obs.counter(name).reset();
     }
 }
 

@@ -39,7 +39,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulePolicy {
     /// Merge in observed (timestamp) order — the default, bit-identical
-    /// to the classic discrete-event loop.
+    /// to the reference per-op loop.
     Observed,
     /// At each step, pick the next worker uniformly at random among live
     /// workers, from a deterministic generator seeded with `seed`.

@@ -1,10 +1,15 @@
-//! Sharded deterministic execution of parallel phases.
+//! Sharded deterministic execution: the simulator's engine for every
+//! serial phase and for every parallel phase whose workers fit on distinct
+//! cores.
 //!
-//! The classic engine ([`crate::exec`]) interleaves every thread of a
-//! parallel phase through one discrete-event loop: each memory access takes
-//! a heap scheduling step, a shared-directory lookup and an observer
-//! callback, all on one host thread. This module executes the same phase in
-//! two passes whose result is **bit-identical** to the classic loop:
+//! The reference per-op loop ([`crate::exec`],
+//! [`Machine::run_reference`](crate::Machine::run_reference)) interleaves
+//! every thread of a parallel phase through one discrete-event loop: each
+//! memory access takes a heap scheduling step, a shared-directory lookup
+//! and an observer callback, all on one host thread. This module executes
+//! the same phase in two passes whose result is **bit-identical** to the
+//! per-op loop ([`MachineConfig::shards`] only sets how many host threads
+//! the first pass uses):
 //!
 //! 1. **Precompute** (fanned out over host threads): each worker's access
 //!    stream is replayed *locally*. Three facts make most of the work
@@ -27,26 +32,26 @@
 //! (one worker, simulated entirely in precompute), **read-shared**
 //! (several workers, no writes: one directory access per worker, every
 //! later read a provable L1 hit) or **write-shared** (the false-sharing
-//! traffic itself, fully ordered). PR 3 discovered the classes per *line*,
-//! paying several hash-map operations for every distinct line — the
+//! traffic itself, fully ordered). Discovering the classes per *line*
+//! would pay several hash-map operations for every distinct line — the
 //! dominant cost of streaming phases that touch tens of thousands of
-//! one-shot private lines. Classification is now per **extent**: each
+//! one-shot private lines. Classification is therefore per **extent**: each
 //! stream declares its footprint as a few contiguous byte ranges
 //! ([`crate::footprint`]), a single boundary sweep classifies the union
 //! (`extent::ClassTable`), and the per-access hot loop resolves a
 //! line's class with one cached range comparison. Streams without a
 //! declared footprint fall back to materialisation, and their touched
 //! lines enter the sweep as coalesced one-line extents — interleaved
-//! footprints degrade to exactly the per-line behaviour of PR 3, never to
-//! an incorrect classification.
+//! footprints degrade to exactly per-line classification, never to an
+//! incorrect classification.
 //!
 //! ## Write-private folding
 //!
 //! A private line's whole phase history is computed in precompute; only
 //! *sampled* private accesses become events, everything else folds into
-//! the next event's `lead` cycles. The per-line residue PR 3 still paid —
-//! a map entry per line for the final MESI state, a directory insert per
-//! line at write-back — is now folded too: completed private lines
+//! the next event's `lead` cycles. The per-line residue — a map entry per
+//! line for the final MESI state, a directory insert per line at
+//! write-back — is folded too: completed private lines
 //! accumulate into uniform-state **runs** (`extent::RangeList`)
 //! and are written back as whole extents
 //! (`Directory::restore_extent`), so a streaming
@@ -59,13 +64,13 @@
 //!
 //! 2. **Merge** (single-threaded): the per-worker event streams are merged
 //!    on a min-heap keyed by `(timestamp, worker, seq)` — the exact order
-//!    the classic loop produces (its heap is keyed the same way and each
+//!    the per-op loop produces (its heap is keyed the same way and each
 //!    worker's ops are FIFO). Shared-directory accesses, busy-window waits,
 //!    observer callbacks and sample delivery all happen here, in merged
 //!    global order, so coherence state, detector samples and reports come
-//!    out bit-identical to the classic loop. The phase's join barrier
+//!    out bit-identical to the per-op loop. The phase's join barrier
 //!    becomes a merge barrier: the main thread resumes at the merged
-//!    maximum end time, exactly as it would have at the classic join.
+//!    maximum end time, exactly as it would have at the per-op join.
 //!
 //! ## The hit-run settling argument, per line
 //!
@@ -74,8 +79,8 @@
 //! never be occupied again, a run of hits on it has no observable effect
 //! other than advancing its own worker's clock and counting L1 hits — so
 //! the merge folds the entire run in O(1) using its precomputed lead sum.
-//! PR 3 waited for *every* read-shared line's first touches globally; the
-//! settling condition is now per line, and earlier: after a line's first
+//! Rather than wait for *every* read-shared line's first touches globally,
+//! the settling condition is per line, and earlier: after a line's first
 //! two first-touches merge it is in `Shared` state, where further first
 //! touches are LLC hits that do not occupy the line — except
 //! prefetch-substituted sequential fills, which the precompute pass counts
@@ -85,14 +90,14 @@
 //! settled lines whose windows have passed folds without touching the heap
 //! or the directory. Before that point the merge walks runs read by read
 //! against the real busy windows, yielding at the horizon exactly like the
-//! classic loop.
+//! per-op loop.
 //!
 //! Determinism is structural: the precompute pass is per-worker (the
 //! partitioning of workers onto host threads cannot affect its output) and
 //! the merge order is a pure function of worker clocks, so *any* shard
-//! count — including the classic path at `shards = 1` — yields the same
-//! [`crate::RunReport`]. The property tests in `tests/shard_props.rs` and
-//! the `sim_throughput` bench gate assert exactly that; the
+//! count yields the same [`crate::RunReport`] as the reference per-op
+//! loop. The property tests in `tests/shard_props.rs` and the
+//! `sim_throughput` bench gate assert exactly that; the
 //! [`crate::metrics`] counters expose how much was merged vs folded.
 
 use crate::coherence::{prefetchable, transition, Directory, LineState};
@@ -115,7 +120,7 @@ const HOT_WAYS: usize = 4;
 /// lines spill to the per-line exception map instead of `Vec::insert`.
 const FRAG_CAP: usize = 512;
 /// Widest hit-run line span checked line by line for early folding; wider
-/// runs wait for global settling as in PR 3.
+/// runs wait for global settling.
 const MAX_FOLD_SPAN: u64 = 16;
 
 /// One read inside a hit-run: `cum_lead` is the folded local work since the
@@ -129,57 +134,63 @@ struct HitRead {
     addr: Addr,
 }
 
-/// One precomputed worker event, preceded by `lead` cycles of local work
-/// (compute ops, unsampled private accesses and their perturbation).
+/// One precomputed worker event, preceded by `lead` cycles of local work:
+/// compute ops, unsampled private accesses, and the perturbation of every
+/// earlier access the observer does not see. A fully write-shared phase
+/// materialises one event per access, so events stay 24 bytes: payloads
+/// only some events need live in the [`WorkerPlan`]'s side tables.
 struct Ev {
     lead: Cycles,
+    /// The accessed address (unused by hit runs and exits).
+    addr: Addr,
     kind: EvKind,
 }
 
+#[derive(Clone, Copy)]
 enum EvKind {
     /// An access that needs the shared directory (write-shared line, or a
     /// core's first touch of a read-shared line).
     Dir {
-        addr: Addr,
-        kind: AccessKind,
-        instrs_before: u64,
+        write: bool,
         /// Precomputed next-line-prefetch condition (the worker's own
         /// access sequence determines it).
         sequential: bool,
         /// First touch of a read-shared line: updates the line's settling
         /// state when merged.
         settles: bool,
+        /// Delivered to the observer with the worker's next [`Surfaced`].
         surfaced: bool,
-        perturbation: Option<Cycles>,
     },
     /// A *sampled* read of a read-shared line after this core's first
     /// touch: a proven L1 hit surfaced to the observer; only the
     /// busy-window wait needs global time.
-    SharedHit {
-        addr: Addr,
-        instrs_before: u64,
-        perturbation: Option<Cycles>,
-    },
-    /// A run of unsampled read-shared hits (see the module docs). The line
-    /// span and lead sum let the merge fold the run in O(1) once every
-    /// line in the span has settled.
-    HitRun {
-        reads: Box<[HitRead]>,
-        min_line: u64,
-        max_line: u64,
-    },
+    SharedHit,
+    /// A run of unsampled read-shared hits (see the module docs), by index
+    /// into [`WorkerPlan::runs`].
+    HitRun(u32),
     /// A private access that must be surfaced to the observer (sampled, or
-    /// the observer demanded every access); outcome and cost precomputed.
-    Private {
-        addr: Addr,
-        kind: AccessKind,
-        instrs_before: u64,
-        outcome: AccessOutcome,
-        cost: Cycles,
-        perturbation: Option<Cycles>,
-    },
+    /// the observer demanded every access); outcome precomputed.
+    Private { write: bool, outcome: AccessOutcome },
     /// End of the worker's stream; `lead` holds trailing compute cycles.
     Exit,
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() == 24);
+
+/// The observer-facing half of a surfaced event, in event order.
+struct Surfaced {
+    instrs_before: u64,
+    /// The replica's perturbation; `None` when the observer decides it.
+    perturbation: Option<Cycles>,
+}
+
+/// A run of unsampled read-shared hits. The line span and lead sum let
+/// the merge fold the run in O(1) once every line in the span has
+/// settled.
+struct HitRun {
+    reads: Box<[HitRead]>,
+    min_line: u64,
+    max_line: u64,
 }
 
 /// One materialised memory access: `work_before` compute instructions since
@@ -457,6 +468,10 @@ impl PrivateSim {
 /// Precompute output of one worker.
 struct WorkerPlan {
     events: Vec<Ev>,
+    /// One entry per surfaced event, in event order.
+    surfaced: Vec<Surfaced>,
+    /// Hit runs, indexed by [`EvKind::HitRun`].
+    runs: Vec<HitRun>,
     instructions: u64,
     reads: u64,
     writes: u64,
@@ -580,7 +595,7 @@ impl Settle {
 }
 
 /// Runs one serial phase with the sharded engine's fast local access path;
-/// drop-in replacement for the classic `Execution::run_serial`.
+/// drop-in replacement for the per-op `Execution::run_serial`.
 ///
 /// A serial phase is the degenerate sharded phase: one thread, no other
 /// actor, so *every* line is private and no classification or merge is
@@ -688,7 +703,7 @@ pub(crate) fn run_serial_sharded(
     span.finish();
 }
 
-/// Runs one parallel phase sharded; drop-in replacement for the classic
+/// Runs one parallel phase sharded; drop-in replacement for the per-op
 /// `Execution::run_parallel` (same inputs, same outputs, same observer
 /// callback sequence). Workers must sit on pairwise-distinct cores.
 pub(crate) fn run_parallel_sharded(
@@ -701,7 +716,6 @@ pub(crate) fn run_parallel_sharded(
 ) -> Vec<Cycles> {
     let line_size = config.cache_line_size;
     let latency = config.latency.clone();
-    let debug_timing = std::env::var_os("CHEETAH_SHARD_TIMING").is_some();
     let t0 = std::time::Instant::now();
     let mut span_classify = config.obs.span("shard.classify", OBS_LANE_ENGINE);
     span_classify.attr_u64("phase", u64::from(phase_index));
@@ -791,34 +805,29 @@ pub(crate) fn run_parallel_sharded(
     // Pass 2: deterministic merge — in observed (timestamp) order, or in
     // the perturbed order a schedule policy draws from the same plans.
     let counters = SimCounters::of(&config.obs);
-    let mut settle = Settle::new(&plans);
+    let mut replay = Replay {
+        directory: &mut *directory,
+        observer,
+        settle: Settle::new(&plans),
+        phase_index,
+        latency: &latency,
+        line_size,
+        merged: 0,
+        folded: 0,
+        surfaced: 0,
+    };
     let ends = match config.schedule {
-        SchedulePolicy::Observed => merge(
-            directory,
-            observer,
-            workers,
-            &plans,
-            &mut settle,
-            phase_index,
-            &latency,
-            line_size,
-            &counters,
-            &mut span_merge,
-        ),
+        SchedulePolicy::Observed => merge(&mut replay, workers, &plans),
         policy => merge_perturbed(
-            directory,
-            observer,
+            &mut replay,
             workers,
             &plans,
-            &mut settle,
-            phase_index,
-            &latency,
-            line_size,
+            policy,
             &counters,
             &mut span_merge,
-            policy,
         ),
     };
+    replay.finish(&counters, &mut span_merge);
     let t_merge = t0.elapsed();
     span_merge.finish();
 
@@ -847,16 +856,6 @@ pub(crate) fn run_parallel_sharded(
         (t_pre - t_class).as_nanos() as u64,
         (t_merge - t_pre).as_nanos() as u64,
     );
-    if debug_timing {
-        let t_all = t0.elapsed();
-        eprintln!(
-            "shard phase {phase_index}: class={:?} pre={:?} merge={:?} total={:?}",
-            t_class,
-            t_pre - t_class,
-            t_merge - t_pre,
-            t_all
-        );
-    }
     ends
 }
 
@@ -954,6 +953,8 @@ fn precompute_worker(
     line_size: u64,
 ) -> WorkerPlan {
     let mut events: Vec<Ev> = Vec::new();
+    let mut surfaced_events: Vec<Surfaced> = Vec::new();
+    let mut runs: Vec<HitRun> = Vec::new();
     let mut lead: Cycles = 0;
     let (mut instructions, mut reads, mut writes) = (0u64, 0u64, 0u64);
     let mut sim = PrivateSim::new(core);
@@ -986,11 +987,15 @@ fn precompute_worker(
             if !run.is_empty() {
                 events.push(Ev {
                     lead: run_lead,
-                    kind: EvKind::HitRun {
-                        reads: std::mem::take(&mut run).into_boxed_slice(),
-                        min_line: run_min,
-                        max_line: run_max,
-                    },
+                    addr: Addr(0),
+                    kind: EvKind::HitRun(
+                        u32::try_from(runs.len()).expect("fewer than 2^32 hit runs per worker"),
+                    ),
+                });
+                runs.push(HitRun {
+                    reads: std::mem::take(&mut run).into_boxed_slice(),
+                    min_line: run_min,
+                    max_line: run_max,
                 });
                 #[allow(unused_assignments)]
                 {
@@ -1010,11 +1015,6 @@ fn precompute_worker(
         } = access;
         instructions += work_before;
         lead += work_before * cpi;
-        let kind = if write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
         let line = addr.line(line_size);
         let (perturbation, surfaced) = match &mut fork {
             SamplerFork::Transparent => (Some(0), false),
@@ -1032,6 +1032,12 @@ fn precompute_worker(
         let sequential = next_sequential == line.0;
         next_sequential = line.0.wrapping_add(1);
         final_line = Some(line);
+        if surfaced {
+            surfaced_events.push(Surfaced {
+                instrs_before: instructions,
+                perturbation,
+            });
+        }
         instructions += 1;
         if write {
             writes += 1;
@@ -1081,14 +1087,8 @@ fn precompute_worker(
                     flush_run!();
                     events.push(Ev {
                         lead: std::mem::take(&mut lead),
-                        kind: EvKind::Private {
-                            addr,
-                            kind,
-                            instrs_before: instructions - 1,
-                            outcome,
-                            cost,
-                            perturbation,
-                        },
+                        addr,
+                        kind: EvKind::Private { write, outcome },
                     });
                 } else {
                     folded += 1;
@@ -1108,25 +1108,21 @@ fn precompute_worker(
                     flush_run!();
                     events.push(Ev {
                         lead: std::mem::take(&mut lead),
+                        addr,
                         kind: EvKind::Dir {
-                            addr,
-                            kind,
-                            instrs_before: instructions - 1,
+                            write,
                             sequential,
                             settles: true,
                             surfaced,
-                            perturbation,
                         },
                     });
+                    lead += unsurfaced_perturbation(surfaced, perturbation);
                 } else if surfaced {
                     flush_run!();
                     events.push(Ev {
                         lead: std::mem::take(&mut lead),
-                        kind: EvKind::SharedHit {
-                            addr,
-                            instrs_before: instructions - 1,
-                            perturbation,
-                        },
+                        addr,
+                        kind: EvKind::SharedHit,
                     });
                 } else {
                     // Join (or open) the hit run; perturbation lands after
@@ -1149,16 +1145,15 @@ fn precompute_worker(
                 flush_run!();
                 events.push(Ev {
                     lead: std::mem::take(&mut lead),
+                    addr,
                     kind: EvKind::Dir {
-                        addr,
-                        kind,
-                        instrs_before: instructions - 1,
+                        write,
                         sequential,
                         settles: false,
                         surfaced,
-                        perturbation,
                     },
                 });
+                lead += unsurfaced_perturbation(surfaced, perturbation);
             }
         }
     }
@@ -1167,11 +1162,14 @@ fn precompute_worker(
     flush_run!();
     events.push(Ev {
         lead,
+        addr: Addr(0),
         kind: EvKind::Exit,
     });
 
     WorkerPlan {
         events,
+        surfaced: surfaced_events,
+        runs,
         instructions,
         reads,
         writes,
@@ -1190,22 +1188,93 @@ struct MergeWorker<'a> {
     clock: Cycles,
     events: std::slice::Iter<'a, Ev>,
     pending: Option<&'a Ev>,
+    /// The observer halves of the worker's surfaced events, in order.
+    surfaced: std::slice::Iter<'a, Surfaced>,
+    runs: &'a [HitRun],
     /// Non-zero when `pending` is a hit run resumed at this read index.
     run_cursor: usize,
 }
 
 impl<'a> MergeWorker<'a> {
+    fn new(ctx: &ThreadCtx, plan: &'a WorkerPlan) -> Self {
+        let mut events = plan.events.iter();
+        let pending = events.next();
+        MergeWorker {
+            id: ctx.id,
+            core: ctx.core,
+            clock: ctx.clock,
+            events,
+            pending,
+            surfaced: plan.surfaced.iter(),
+            runs: &plan.runs,
+            run_cursor: 0,
+        }
+    }
+
     /// Global time of the worker's next event.
     fn next_time(&self) -> Cycles {
         let ev = self.pending.expect("live worker has a pending event");
         if self.run_cursor > 0 {
-            match &ev.kind {
-                EvKind::HitRun { reads, .. } => self.clock + run_lead_at(reads, self.run_cursor),
+            match ev.kind {
+                EvKind::HitRun(run) => {
+                    self.clock + run_lead_at(&self.runs[run as usize].reads, self.run_cursor)
+                }
                 _ => unreachable!("run cursor only on hit runs"),
             }
         } else {
             self.clock + ev.lead
         }
+    }
+
+    /// Builds the access record of the worker's next surfaced event and
+    /// invokes the observer; returns the perturbation to charge (the
+    /// replica's when one was forked, otherwise the observer's).
+    fn surface(
+        &mut self,
+        observer: &mut dyn ExecObserver,
+        addr: Addr,
+        write: bool,
+        outcome: AccessOutcome,
+        latency: Cycles,
+        phase_index: u32,
+    ) -> Cycles {
+        let surfaced = self
+            .surfaced
+            .next()
+            .expect("every surfaced event has its observer half");
+        let record = AccessRecord {
+            thread: self.id,
+            core: self.core,
+            addr,
+            kind: access_kind(write),
+            outcome,
+            latency,
+            start: self.clock,
+            instrs_before: surfaced.instrs_before,
+            phase_index,
+            phase_kind: PhaseKind::Parallel,
+        };
+        let returned = observer.on_access(&record);
+        surfaced.perturbation.unwrap_or(returned)
+    }
+}
+
+fn access_kind(write: bool) -> AccessKind {
+    if write {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    }
+}
+
+/// The perturbation an access charges into the next event's lead: its
+/// replica judgement when the observer does not see it, else none (the
+/// merge charges it on delivery).
+fn unsurfaced_perturbation(surfaced: bool, perturbation: Option<Cycles>) -> Cycles {
+    if surfaced {
+        0
+    } else {
+        perturbation.expect("unsurfaced access carries its judgement")
     }
 }
 
@@ -1220,44 +1289,134 @@ fn run_lead_at(reads: &[HitRead], cursor: usize) -> Cycles {
     }
 }
 
+/// The state both merge orders replay residue events against: the
+/// shared directory and observer, read-shared settling, and the phase's
+/// event counts.
+struct Replay<'m> {
+    directory: &'m mut Directory,
+    observer: &'m mut dyn ExecObserver,
+    settle: Settle,
+    phase_index: u32,
+    latency: &'m LatencyModel,
+    line_size: u64,
+    merged: u64,
+    folded: u64,
+    surfaced: u64,
+}
+
+impl Replay<'_> {
+    /// Replays a directory, shared-hit or surfaced private event at the
+    /// worker's clock, delivering it to the observer when surfaced.
+    fn access(&mut self, w: &mut MergeWorker<'_>, ev: &Ev) {
+        self.merged += 1;
+        w.clock += ev.lead;
+        let line = ev.addr.line(self.line_size);
+        let (write, outcome, latency, surfaced) = match ev.kind {
+            EvKind::Dir {
+                write,
+                sequential,
+                settles,
+                surfaced,
+            } => {
+                let result = self.directory.access_hinted(
+                    w.core,
+                    line,
+                    access_kind(write),
+                    w.clock,
+                    sequential,
+                );
+                if settles {
+                    self.settle
+                        .merge_first_touch(self.directory, line, sequential);
+                }
+                (write, result.outcome, result.latency(), surfaced)
+            }
+            EvKind::SharedHit => {
+                let latency = self.shared_hit(line, w.clock);
+                (false, AccessOutcome::L1Hit, latency, true)
+            }
+            // Stats were already counted by the precompute pass.
+            EvKind::Private { write, outcome } => {
+                (write, outcome, self.latency.cost(outcome), true)
+            }
+            EvKind::HitRun(_) | EvKind::Exit => unreachable!("not a single-access event"),
+        };
+        let perturb = if surfaced {
+            self.surfaced += 1;
+            w.surface(
+                self.observer,
+                ev.addr,
+                write,
+                outcome,
+                latency,
+                self.phase_index,
+            )
+        } else {
+            0
+        };
+        w.clock += latency + perturb;
+    }
+
+    /// A proven L1 hit on a read-shared line at `now`: records it and
+    /// returns its latency, including any busy-window wait.
+    fn shared_hit(&mut self, line: CacheLineId, now: Cycles) -> Cycles {
+        let wait = self.directory.busy_wait(line, now);
+        self.directory
+            .record_precomputed(AccessOutcome::L1Hit, wait);
+        wait + self.latency.l1_hit
+    }
+
+    /// Folds `run`'s reads from `cursor` on in O(1) if every line in its
+    /// span has settled: no read can wait, nothing global is touched.
+    /// Returns whether it folded (the run is then done).
+    fn fold_run(&mut self, w: &mut MergeWorker<'_>, run: &HitRun, cursor: usize) -> bool {
+        let start = w.clock + run_lead_at(&run.reads, cursor);
+        if !self
+            .settle
+            .run_foldable(self.directory, run.min_line, run.max_line, start)
+        {
+            return false;
+        }
+        let n = (run.reads.len() - cursor) as u64;
+        let prefix = cursor.checked_sub(1).map_or(0, |i| run.reads[i].cum_lead);
+        let total = run.reads[run.reads.len() - 1].cum_lead;
+        w.clock += (total - prefix) + n * self.latency.l1_hit;
+        self.directory.record_hit_batch(n);
+        self.folded += n;
+        true
+    }
+
+    /// Walks `run`'s read at `cursor` against the real busy window.
+    fn walk_read(&mut self, w: &mut MergeWorker<'_>, run: &HitRun, cursor: usize) {
+        self.merged += 1;
+        w.clock += run_lead_at(&run.reads, cursor);
+        w.clock += self.shared_hit(run.reads[cursor].addr.line(self.line_size), w.clock);
+    }
+
+    /// Publishes the phase's event counts.
+    fn finish(self, counters: &SimCounters, span: &mut cheetah_obs::SpanGuard) {
+        counters.count_merged(self.merged);
+        counters.count_folded(self.folded);
+        counters.count_surfaced(self.surfaced);
+        span.attr_u64("merged", self.merged);
+        span.attr_u64("folded", self.folded);
+        span.attr_u64("surfaced", self.surfaced);
+    }
+}
+
 /// Merges the precomputed event streams in exact global order, performing
 /// every shared-directory access and observer callback; returns each
 /// worker's end time.
-#[allow(clippy::too_many_arguments)]
-fn merge(
-    directory: &mut Directory,
-    observer: &mut dyn ExecObserver,
-    workers: &[ThreadCtx],
-    plans: &[WorkerPlan],
-    settle: &mut Settle,
-    phase_index: u32,
-    latency: &LatencyModel,
-    line_size: u64,
-    counters: &SimCounters,
-    span: &mut cheetah_obs::SpanGuard,
-) -> Vec<Cycles> {
-    let l1_cost = latency.l1_hit;
+fn merge(replay: &mut Replay<'_>, workers: &[ThreadCtx], plans: &[WorkerPlan]) -> Vec<Cycles> {
     let mut ends = vec![0; workers.len()];
-    let (mut merged_count, mut folded_count, mut surfaced_count) = (0u64, 0u64, 0u64);
     let mut merge_workers: Vec<MergeWorker<'_>> = workers
         .iter()
         .zip(plans)
-        .map(|(ctx, plan)| {
-            let mut events = plan.events.iter();
-            let pending = events.next();
-            MergeWorker {
-                id: ctx.id,
-                core: ctx.core,
-                clock: ctx.clock,
-                events,
-                pending,
-                run_cursor: 0,
-            }
-        })
+        .map(|(ctx, plan)| MergeWorker::new(ctx, plan))
         .collect();
 
     // Min-heap on (next event time, slot): identical ordering to the
-    // classic loop's (clock, slot) heap with FIFO events per worker.
+    // per-op loop's (clock, slot) heap with FIFO events per worker.
     let mut heap: BinaryHeap<Reverse<(Cycles, usize)>> = merge_workers
         .iter()
         .enumerate()
@@ -1266,180 +1425,59 @@ fn merge(
 
     while let Some(Reverse((_, slot))) = heap.pop() {
         // Process this worker's events while no other worker could possibly
-        // have an earlier one (the classic loop's burst, in event units).
+        // have an earlier one (the per-op loop's burst, in event units).
         let horizon = heap.peek().map(|Reverse((t, _))| *t);
         'burst: loop {
             let w = &mut merge_workers[slot];
             let ev = w.pending.take().expect("popped worker has an event");
-            match &ev.kind {
+            match ev.kind {
                 EvKind::Exit => {
                     w.clock += ev.lead;
                     ends[slot] = w.clock;
-                    observer.on_thread_exit(w.id, w.clock);
+                    replay.observer.on_thread_exit(w.id, w.clock);
                     break 'burst;
                 }
-                EvKind::Dir {
-                    addr,
-                    kind,
-                    instrs_before,
-                    sequential,
-                    settles,
-                    surfaced,
-                    perturbation,
-                } => {
-                    merged_count += 1;
-                    w.clock += ev.lead;
-                    let line = addr.line(line_size);
-                    let result = directory.access_hinted(w.core, line, *kind, w.clock, *sequential);
-                    let latency_cycles = result.latency();
-                    if *surfaced {
-                        surfaced_count += 1;
-                    }
-                    let perturb = surface(
-                        observer,
-                        w,
-                        *addr,
-                        *kind,
-                        result.outcome,
-                        latency_cycles,
-                        *instrs_before,
-                        phase_index,
-                        *surfaced,
-                        *perturbation,
-                    );
-                    w.clock += latency_cycles + perturb;
-                    if *settles {
-                        settle.merge_first_touch(directory, line, *sequential);
-                    }
-                }
-                EvKind::SharedHit {
-                    addr,
-                    instrs_before,
-                    perturbation,
-                } => {
-                    merged_count += 1;
-                    surfaced_count += 1;
-                    w.clock += ev.lead;
-                    let line = addr.line(line_size);
-                    let wait = directory.busy_wait(line, w.clock);
-                    directory.record_precomputed(AccessOutcome::L1Hit, wait);
-                    let latency_cycles = wait + l1_cost;
-                    let perturb = surface(
-                        observer,
-                        w,
-                        *addr,
-                        AccessKind::Read,
-                        AccessOutcome::L1Hit,
-                        latency_cycles,
-                        *instrs_before,
-                        phase_index,
-                        true,
-                        *perturbation,
-                    );
-                    w.clock += latency_cycles + perturb;
-                }
-                EvKind::HitRun {
-                    reads,
-                    min_line,
-                    max_line,
-                } => {
-                    let mut cursor = w.run_cursor;
-                    if cursor == 0 {
+                EvKind::HitRun(run) => {
+                    let runs = w.runs;
+                    let run = &runs[run as usize];
+                    if w.run_cursor == 0 {
                         w.clock += ev.lead;
                     }
                     // Walk read by read against the real busy windows while
                     // any line in the span could still be occupied, folding
                     // the remainder the moment it settles; yield at the
-                    // horizon exactly like the classic loop (the first read
+                    // horizon exactly like the per-op loop (the first read
                     // of this visit is unconditional: it was the heap
                     // minimum).
                     let mut first = true;
                     loop {
-                        if cursor >= reads.len() {
+                        let cursor = w.run_cursor;
+                        if cursor >= run.reads.len() || replay.fold_run(w, run, cursor) {
                             w.run_cursor = 0;
                             break;
                         }
-                        let start = w.clock + run_lead_at(reads, cursor);
-                        if settle.run_foldable(directory, *min_line, *max_line, start) {
-                            // Settled: no read can wait, nothing global is
-                            // touched — fold the rest atomically.
-                            let n = (reads.len() - cursor) as u64;
-                            let prefix = if cursor == 0 {
-                                0
-                            } else {
-                                reads[cursor - 1].cum_lead
-                            };
-                            let total = reads[reads.len() - 1].cum_lead;
-                            w.clock += (total - prefix) + n * l1_cost;
-                            directory.record_hit_batch(n);
-                            folded_count += n;
-                            w.run_cursor = 0;
-                            break;
-                        }
-                        if !first {
-                            if let Some(h) = horizon {
-                                if start >= h {
-                                    w.run_cursor = cursor;
-                                    w.pending = Some(ev);
-                                    heap.push(Reverse((start, slot)));
-                                    break 'burst;
-                                }
-                            }
+                        let start = w.clock + run_lead_at(&run.reads, cursor);
+                        if !first && horizon.is_some_and(|h| start >= h) {
+                            w.pending = Some(ev);
+                            heap.push(Reverse((start, slot)));
+                            break 'burst;
                         }
                         first = false;
-                        merged_count += 1;
-                        w.clock = start;
-                        let wait = directory.busy_wait(reads[cursor].addr.line(line_size), w.clock);
-                        directory.record_precomputed(AccessOutcome::L1Hit, wait);
-                        w.clock += wait + l1_cost;
-                        cursor += 1;
+                        replay.walk_read(w, run, cursor);
+                        w.run_cursor += 1;
                     }
                 }
-                EvKind::Private {
-                    addr,
-                    kind,
-                    instrs_before,
-                    outcome,
-                    cost,
-                    perturbation,
-                } => {
-                    merged_count += 1;
-                    surfaced_count += 1;
-                    w.clock += ev.lead;
-                    // Stats were already counted by the precompute pass.
-                    let perturb = surface(
-                        observer,
-                        w,
-                        *addr,
-                        *kind,
-                        *outcome,
-                        *cost,
-                        *instrs_before,
-                        phase_index,
-                        true,
-                        *perturbation,
-                    );
-                    w.clock += cost + perturb;
-                }
+                _ => replay.access(w, ev),
             }
-            let w = &mut merge_workers[slot];
             let next = w.events.next().expect("Exit terminates the stream");
             w.pending = Some(next);
             let next_time = w.clock + next.lead;
-            if let Some(h) = horizon {
-                if next_time >= h {
-                    heap.push(Reverse((next_time, slot)));
-                    break 'burst;
-                }
+            if horizon.is_some_and(|h| next_time >= h) {
+                heap.push(Reverse((next_time, slot)));
+                break 'burst;
             }
         }
     }
-    counters.count_merged(merged_count);
-    counters.count_folded(folded_count);
-    counters.count_surfaced(surfaced_count);
-    span.attr_u64("merged", merged_count);
-    span.attr_u64("folded", folded_count);
-    span.attr_u64("surfaced", surfaced_count);
     ends
 }
 
@@ -1459,29 +1497,22 @@ fn merge(
 /// are safe. Selection is a pure function of the policy seed, the phase
 /// index and the per-worker plans — deterministic given `(seed, shards)`,
 /// and in fact identical at every shard count.
-#[allow(clippy::too_many_arguments)]
 fn merge_perturbed(
-    directory: &mut Directory,
-    observer: &mut dyn ExecObserver,
+    replay: &mut Replay<'_>,
     workers: &[ThreadCtx],
     plans: &[WorkerPlan],
-    settle: &mut Settle,
-    phase_index: u32,
-    latency: &LatencyModel,
-    line_size: u64,
+    policy: SchedulePolicy,
     counters: &SimCounters,
     span: &mut cheetah_obs::SpanGuard,
-    policy: SchedulePolicy,
 ) -> Vec<Cycles> {
     let (contend, seed) = match policy {
         SchedulePolicy::SeededShuffle { seed } => (false, seed),
         SchedulePolicy::ContentionMax { seed } => (true, seed),
         SchedulePolicy::Observed => unreachable!("observed schedules use the ordered merge"),
     };
-    let mut rng = ScheduleRng::for_phase(seed, phase_index);
-    let l1_cost = latency.l1_hit;
+    let line_size = replay.line_size;
+    let mut rng = ScheduleRng::for_phase(seed, replay.phase_index);
     let mut ends = vec![0; workers.len()];
-    let (mut merged_count, mut folded_count, mut surfaced_count) = (0u64, 0u64, 0u64);
     let (mut selections, mut reordered) = (0u64, 0u64);
     // Last core to *merge* a write per line — the contention heuristic's
     // view of who owns each line right now.
@@ -1489,18 +1520,7 @@ fn merge_perturbed(
     let mut merge_workers: Vec<MergeWorker<'_>> = workers
         .iter()
         .zip(plans)
-        .map(|(ctx, plan)| {
-            let mut events = plan.events.iter();
-            let pending = events.next();
-            MergeWorker {
-                id: ctx.id,
-                core: ctx.core,
-                clock: ctx.clock,
-                events,
-                pending,
-                run_cursor: 0,
-            }
-        })
+        .map(|(ctx, plan)| MergeWorker::new(ctx, plan))
         .collect();
     let mut live: Vec<usize> = (0..merge_workers.len()).collect();
 
@@ -1516,14 +1536,14 @@ fn merge_perturbed(
             for (i, &slot) in live.iter().enumerate() {
                 let w = &merge_workers[slot];
                 if let Some(Ev {
-                    kind: EvKind::Dir { addr, kind, .. },
+                    addr,
+                    kind: EvKind::Dir { write: true, .. },
                     ..
                 }) = w.pending
                 {
-                    if *kind == AccessKind::Write
-                        && last_writer
-                            .get(&addr.line(line_size))
-                            .is_some_and(|&owner| owner != w.core)
+                    if last_writer
+                        .get(&addr.line(line_size))
+                        .is_some_and(|&owner| owner != w.core)
                     {
                         contending.push(i);
                     }
@@ -1550,187 +1570,43 @@ fn merge_perturbed(
 
         let w = &mut merge_workers[slot];
         let ev = w.pending.take().expect("live worker has a pending event");
-        match &ev.kind {
+        match ev.kind {
             EvKind::Exit => {
                 w.clock += ev.lead;
                 ends[slot] = w.clock;
-                observer.on_thread_exit(w.id, w.clock);
+                replay.observer.on_thread_exit(w.id, w.clock);
                 live.swap_remove(choice);
                 continue;
             }
-            EvKind::Dir {
-                addr,
-                kind,
-                instrs_before,
-                sequential,
-                settles,
-                surfaced,
-                perturbation,
-            } => {
-                merged_count += 1;
-                w.clock += ev.lead;
-                let line = addr.line(line_size);
-                let result = directory.access_hinted(w.core, line, *kind, w.clock, *sequential);
-                let latency_cycles = result.latency();
-                if *surfaced {
-                    surfaced_count += 1;
-                }
-                let perturb = surface(
-                    observer,
-                    w,
-                    *addr,
-                    *kind,
-                    result.outcome,
-                    latency_cycles,
-                    *instrs_before,
-                    phase_index,
-                    *surfaced,
-                    *perturbation,
-                );
-                w.clock += latency_cycles + perturb;
-                if *settles {
-                    settle.merge_first_touch(directory, line, *sequential);
-                }
-                if contend && *kind == AccessKind::Write {
-                    last_writer.insert(line, w.core);
-                }
-            }
-            EvKind::SharedHit {
-                addr,
-                instrs_before,
-                perturbation,
-            } => {
-                merged_count += 1;
-                surfaced_count += 1;
-                w.clock += ev.lead;
-                let line = addr.line(line_size);
-                let wait = directory.busy_wait(line, w.clock);
-                directory.record_precomputed(AccessOutcome::L1Hit, wait);
-                let latency_cycles = wait + l1_cost;
-                let perturb = surface(
-                    observer,
-                    w,
-                    *addr,
-                    AccessKind::Read,
-                    AccessOutcome::L1Hit,
-                    latency_cycles,
-                    *instrs_before,
-                    phase_index,
-                    true,
-                    *perturbation,
-                );
-                w.clock += latency_cycles + perturb;
-            }
-            EvKind::HitRun {
-                reads,
-                min_line,
-                max_line,
-            } => {
+            EvKind::HitRun(run) => {
+                let runs = w.runs;
+                let run = &runs[run as usize];
                 // One selection replays the whole run (hit runs touch
                 // nothing another worker can contend on, so splitting
                 // them across selections would not change any outcome).
                 w.clock += ev.lead;
-                let mut cursor = 0;
-                while cursor < reads.len() {
-                    let start = w.clock + run_lead_at(reads, cursor);
-                    if settle.run_foldable(directory, *min_line, *max_line, start) {
-                        let n = (reads.len() - cursor) as u64;
-                        let prefix = if cursor == 0 {
-                            0
-                        } else {
-                            reads[cursor - 1].cum_lead
-                        };
-                        let total = reads[reads.len() - 1].cum_lead;
-                        w.clock += (total - prefix) + n * l1_cost;
-                        directory.record_hit_batch(n);
-                        folded_count += n;
+                for cursor in 0..run.reads.len() {
+                    if replay.fold_run(w, run, cursor) {
                         break;
                     }
-                    merged_count += 1;
-                    w.clock = start;
-                    let wait = directory.busy_wait(reads[cursor].addr.line(line_size), w.clock);
-                    directory.record_precomputed(AccessOutcome::L1Hit, wait);
-                    w.clock += wait + l1_cost;
-                    cursor += 1;
+                    replay.walk_read(w, run, cursor);
                 }
             }
-            EvKind::Private {
-                addr,
-                kind,
-                instrs_before,
-                outcome,
-                cost,
-                perturbation,
-            } => {
-                merged_count += 1;
-                surfaced_count += 1;
-                w.clock += ev.lead;
-                let perturb = surface(
-                    observer,
-                    w,
-                    *addr,
-                    *kind,
-                    *outcome,
-                    *cost,
-                    *instrs_before,
-                    phase_index,
-                    true,
-                    *perturbation,
-                );
-                w.clock += cost + perturb;
+            kind => {
+                replay.access(w, ev);
+                if let (true, EvKind::Dir { write: true, .. }) = (contend, kind) {
+                    last_writer.insert(ev.addr.line(line_size), w.core);
+                }
             }
         }
-        let w = &mut merge_workers[slot];
         w.pending = Some(w.events.next().expect("Exit terminates the stream"));
     }
-    counters.count_merged(merged_count);
-    counters.count_folded(folded_count);
-    counters.count_surfaced(surfaced_count);
     counters.count_schedule(selections, reordered);
     span.attr_str("policy", policy.to_string());
     span.attr_u64("seed", seed);
-    span.attr_u64("merged", merged_count);
-    span.attr_u64("folded", folded_count);
-    span.attr_u64("surfaced", surfaced_count);
     span.attr_u64("selections", selections);
     span.attr_u64("reordered", reordered);
     ends
-}
-
-/// Builds the access record and invokes the observer for a surfaced access;
-/// returns the perturbation to charge (the replica's when one was forked,
-/// otherwise the observer's).
-#[allow(clippy::too_many_arguments)]
-fn surface(
-    observer: &mut dyn ExecObserver,
-    w: &MergeWorker<'_>,
-    addr: Addr,
-    kind: AccessKind,
-    outcome: AccessOutcome,
-    latency: Cycles,
-    instrs_before: u64,
-    phase_index: u32,
-    surfaced: bool,
-    perturbation: Option<Cycles>,
-) -> Cycles {
-    if surfaced {
-        let record = AccessRecord {
-            thread: w.id,
-            core: w.core,
-            addr,
-            kind,
-            outcome,
-            latency,
-            start: w.clock,
-            instrs_before,
-            phase_index,
-            phase_kind: PhaseKind::Parallel,
-        };
-        let returned = observer.on_access(&record);
-        perturbation.unwrap_or(returned)
-    } else {
-        perturbation.expect("unsurfaced access carries its judgement")
-    }
 }
 
 /// Applies `f` to every item on up to `threads` scoped host threads,

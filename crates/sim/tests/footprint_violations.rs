@@ -73,11 +73,11 @@ fn sharded_executor_counts_fallbacks_instead_of_panicking() {
 
 #[test]
 fn classic_loop_ignores_footprints_without_audit() {
-    // The single-threaded loop never consults footprints; without audit
+    // The reference per-op loop never consults footprints; without audit
     // mode the same lying program runs violation-free.
     let obs = ObsHandle::fresh_untraced();
     let machine = Machine::new(MachineConfig::default().with_obs(obs.clone()));
-    machine.run(liar_program(), &mut NullObserver);
+    machine.run_reference(liar_program(), &mut NullObserver);
     assert_eq!(
         cheetah_sim::metrics::snapshot_of(&obs).footprint_violations,
         0
@@ -93,7 +93,9 @@ fn audit_counts_byte_granular_violations_in_release() {
             .with_footprint_audit(true)
             .with_obs(obs.clone()),
     );
-    machine.run(liar_program(), &mut NullObserver);
+    // The reference loop counts audit violations only; the sharded
+    // executor would add its own classification fallbacks.
+    machine.run_reference(liar_program(), &mut NullObserver);
     let violations = cheetah_sim::metrics::snapshot_of(&obs).footprint_violations;
     assert_eq!(violations, 2, "exactly the two undeclared writes");
 }

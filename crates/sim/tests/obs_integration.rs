@@ -6,10 +6,11 @@
 //!     cross-contamination the old process-global `metrics` atomics showed
 //!     under parallel `cargo test`;
 //! (b) the per-phase FNV state-hash witness (the determinism divergence
-//!     locator's probe) is bit-identical across shard counts {1, 2, 4}
-//!     for real registry workloads — the classic loop and the sharded
-//!     classify/precompute/merge passes reach the same logical machine
-//!     state at every phase boundary, not merely the same final report.
+//!     locator's probe) is bit-identical between the reference per-op
+//!     loop and shard counts {1, 2, 4} for real registry workloads — the
+//!     per-op loop and the sharded classify/precompute/merge passes reach
+//!     the same logical machine state at every phase boundary, not merely
+//!     the same final report.
 
 use cheetah_sim::{metrics, Machine, MachineConfig, NullObserver};
 use cheetah_workloads::{find, AppConfig};
@@ -71,8 +72,8 @@ fn concurrent_runs_have_independent_metrics() {
 }
 
 /// Runs `name` broken with the witness enabled and returns the per-phase
-/// `(index, witness)` sequence.
-fn phase_witnesses(name: &str, threads: u32, scale: f64, shards: u32) -> Vec<(u64, u64)> {
+/// `(index, witness)` sequence; `shards = None` runs the reference loop.
+fn phase_witnesses(name: &str, threads: u32, scale: f64, shards: Option<u32>) -> Vec<(u64, u64)> {
     let app = find(name).expect("registered workload");
     let instance = app.build(&AppConfig {
         threads,
@@ -83,11 +84,14 @@ fn phase_witnesses(name: &str, threads: u32, scale: f64, shards: u32) -> Vec<(u6
     let obs = ObsHandle::fresh();
     let machine = Machine::new(
         MachineConfig::with_cores(16)
-            .with_shards(shards)
+            .with_shards(shards.unwrap_or(1))
             .with_obs(obs.clone())
             .with_witness(true),
     );
-    machine.run(instance.program, &mut NullObserver);
+    match shards {
+        Some(_) => machine.run(instance.program, &mut NullObserver),
+        None => machine.run_reference(instance.program, &mut NullObserver),
+    };
     obs.spans_sorted_by_attr("phase", "index")
         .iter()
         .map(|span| {
@@ -103,7 +107,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The divergence locator's foundation: for registry workloads, the
-    /// per-phase state hash is bit-identical at shard counts 1, 2, and 4.
+    /// per-phase state hash at shard counts 1, 2, and 4 is bit-identical
+    /// to the reference loop's.
     #[test]
     fn phase_witness_identical_across_shards(
         name in prop::sample::select(vec![
@@ -114,10 +119,10 @@ proptest! {
         ]),
         threads in prop::sample::select(vec![2u32, 4, 8]),
     ) {
-        let base = phase_witnesses(name, threads, 0.05, 1);
+        let base = phase_witnesses(name, threads, 0.05, None);
         prop_assert!(!base.is_empty(), "{name}: no phase spans recorded");
-        for shards in [2u32, 4] {
-            let sharded = phase_witnesses(name, threads, 0.05, shards);
+        for shards in [1u32, 2, 4] {
+            let sharded = phase_witnesses(name, threads, 0.05, Some(shards));
             prop_assert_eq!(
                 &base, &sharded,
                 "{}: witness sequence diverged at {} shards", name, shards

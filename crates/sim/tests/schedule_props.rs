@@ -1,8 +1,8 @@
 //! Properties of schedule-space perturbation (`MachineConfig::schedule`):
 //!
-//! (a) `SchedulePolicy::Observed` is bit-identical to today's merge —
-//!     reports, surfaced event streams and sample sequences — across
-//!     shard counts {1, 2, 4}, for every registry workload;
+//! (a) `SchedulePolicy::Observed` is bit-identical to the reference
+//!     per-op loop — reports, surfaced event streams and sample
+//!     sequences — at shard counts {1, 2, 4}, for every registry workload;
 //! (b) every perturbed schedule respects per-worker program order
 //!     (per-thread retired-instruction indices stay strictly increasing)
 //!     and never changes `sim.footprint_violations`;
@@ -91,8 +91,8 @@ fn app_config() -> AppConfig {
     }
 }
 
-/// (a) The observed policy is today's merge, registry-wide: the default
-/// configuration (no policy, classic at 1 shard) and the explicit
+/// (a) The observed policy replays the reference loop, registry-wide:
+/// the reference run ([`Machine::run_reference`]) and the explicit
 /// `SchedulePolicy::Observed` at shard counts {1, 2, 4} all yield the
 /// identical report, the identical surfaced event stream and the
 /// identical sample sequence for every registry workload.
@@ -100,25 +100,30 @@ fn app_config() -> AppConfig {
 fn observed_policy_bit_identical_registry_wide() {
     let config = app_config();
     for app in APPS {
-        let run_with = |machine_config: MachineConfig| {
-            let machine = Machine::new(machine_config);
+        // `None` runs the reference loop.
+        let run_with = |shards: Option<u32>| {
+            let machine = Machine::new(
+                MachineConfig::default()
+                    .with_shards(shards.unwrap_or(1))
+                    .with_schedule(SchedulePolicy::Observed),
+            );
+            let run = |program, observer: &mut dyn ExecObserver| match shards {
+                Some(_) => machine.run(program, observer),
+                None => machine.run_reference(program, observer),
+            };
             let mut recorder = Recorder::default();
-            let report = machine.run(app.build(&config).program, &mut recorder);
+            let report = run(app.build(&config).program, &mut recorder);
             let mut sampler = ModuloSampler {
                 period: 7,
                 trap: 500,
                 samples: Vec::new(),
             };
-            let sampled_report = machine.run(app.build(&config).program, &mut sampler);
+            let sampled_report = run(app.build(&config).program, &mut sampler);
             (report, recorder, sampled_report, sampler.samples)
         };
-        let (report0, rec0, sampled0, samples0) = run_with(MachineConfig::default());
+        let (report0, rec0, sampled0, samples0) = run_with(None);
         for shards in [1u32, 2, 4] {
-            let (report, rec, sampled, samples) = run_with(
-                MachineConfig::default()
-                    .with_shards(shards)
-                    .with_schedule(SchedulePolicy::Observed),
-            );
+            let (report, rec, sampled, samples) = run_with(Some(shards));
             assert_eq!(report0, report, "{} report at {shards} shards", app.name());
             assert_eq!(
                 rec0.records,

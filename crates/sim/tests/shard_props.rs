@@ -1,13 +1,15 @@
-//! Properties of sharded deterministic execution (`MachineConfig::shards`):
+//! Properties of sharded deterministic execution, checked against the
+//! reference per-op loop ([`Machine::run_reference`]):
 //!
-//! (a) for random workloads, machine shapes and shard counts, the
-//!     [`RunReport`] is bit-identical to the 1-shard (classic) run;
+//! (a) for random workloads, machine shapes and shard counts (including
+//!     `shards = 1`), the [`RunReport`] is bit-identical to the reference
+//!     run;
 //! (b) the merged event stream — every access surfaced to an observer, in
-//!     order, with all fields — is bit-identical to the classic stream;
+//!     order, with all fields — is bit-identical to the reference stream;
 //! (c) the replica sampling path (only sampled accesses surfaced) yields
 //!     the identical sample sequence and identical perturbed timings;
-//! (d) oversubscribed phases (more workers than cores) fall back to the
-//!     classic loop and still match.
+//! (d) oversubscribed phases (more workers than cores) run on the per-op
+//!     loop inside an otherwise sharded run and still match.
 
 use cheetah_sim::{
     AccessKind, AccessRecord, AccessStream, Addr, CountingObserver, Cycles, ExecObserver,
@@ -146,6 +148,12 @@ fn run(shape: &Shape, shards: u32, observer: &mut dyn ExecObserver) -> RunReport
     Machine::new(config).run(build_program(shape), observer)
 }
 
+/// The oracle: the same program on the reference per-op loop.
+fn run_reference(shape: &Shape, observer: &mut dyn ExecObserver) -> RunReport {
+    Machine::new(MachineConfig::with_cores(shape.cores))
+        .run_reference(build_program(shape), observer)
+}
+
 fn run_hidden(shape: &Shape, shards: u32, observer: &mut dyn ExecObserver) -> RunReport {
     let config = MachineConfig::with_cores(shape.cores).with_shards(shards);
     Machine::new(config).run(build_program_with(shape, true), observer)
@@ -247,22 +255,22 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// (a) Reports are bit-identical across shard counts, transparent
-    /// observer.
+    /// (a) Reports are bit-identical to the reference loop at every shard
+    /// count, transparent observer.
     #[test]
-    fn reports_identical_across_shard_counts(shape in arb_shape(), shards in 2u32..9) {
-        let baseline = run(&shape, 1, &mut NullObserver);
+    fn reports_identical_across_shard_counts(shape in arb_shape(), shards in 1u32..9) {
+        let baseline = run_reference(&shape, &mut NullObserver);
         let sharded = run(&shape, shards, &mut NullObserver);
         prop_assert_eq!(&baseline, &sharded);
     }
 
     /// (b) The full surfaced event stream (EveryAccess observers) matches
-    /// the classic stream record for record, including perturbation
+    /// the reference stream record for record, including perturbation
     /// feedback into the clocks and thread-exit times.
     #[test]
-    fn merged_event_stream_identical(shape in arb_shape(), shards in 2u32..6) {
+    fn merged_event_stream_identical(shape in arb_shape(), shards in 1u32..6) {
         let mut classic = Recorder::default();
-        let baseline = run(&shape, 1, &mut classic);
+        let baseline = run_reference(&shape, &mut classic);
         let mut merged = Recorder::default();
         let sharded = run(&shape, shards, &mut merged);
         prop_assert_eq!(&baseline, &sharded);
@@ -274,9 +282,9 @@ proptest! {
     /// (c) Replica sampling: identical sample sequence (content and order)
     /// and identical perturbed report.
     #[test]
-    fn replica_sampling_identical(shape in arb_shape(), shards in 2u32..6, period in 1u64..9) {
+    fn replica_sampling_identical(shape in arb_shape(), shards in 1u32..6, period in 1u64..9) {
         let mut classic = ModuloSampler { period, trap: 1_000, samples: Vec::new() };
-        let baseline = run(&shape, 1, &mut classic);
+        let baseline = run_reference(&shape, &mut classic);
         let mut sharded_sampler = ModuloSampler { period, trap: 1_000, samples: Vec::new() };
         let sharded = run(&shape, shards, &mut sharded_sampler);
         prop_assert_eq!(&baseline, &sharded);
@@ -301,10 +309,10 @@ proptest! {
         prop_assert_eq!(&extent_report, &fallback_report);
         prop_assert_eq!(&extent_rec.records, &fallback_rec.records);
         prop_assert_eq!(&extent_rec.exits, &fallback_rec.exits);
-        // And both match the classic loop under the same (perturbing)
+        // And both match the reference loop under the same (perturbing)
         // observer.
         let mut classic_rec = Recorder::default();
-        let classic = run(&shape, 1, &mut classic_rec);
+        let classic = run_reference(&shape, &mut classic_rec);
         prop_assert_eq!(&classic, &extent_report);
         prop_assert_eq!(&classic_rec.records, &extent_rec.records);
 
@@ -317,8 +325,8 @@ proptest! {
     }
 
     /// (f) Extent classification under oversubscription: hidden and
-    /// declared footprints agree when the phase falls back to the classic
-    /// loop because workers share cores.
+    /// declared footprints agree when the phase runs on the per-op loop
+    /// because workers share cores.
     #[test]
     fn extent_oversubscription_fallback_identical(
         threads in 3u64..8,
@@ -336,17 +344,17 @@ proptest! {
         };
         let extent_report = run(&shape, shards, &mut NullObserver);
         let fallback_report = run_hidden(&shape, shards, &mut NullObserver);
-        let classic = run(&shape, 1, &mut NullObserver);
+        let classic = run_reference(&shape, &mut NullObserver);
         prop_assert_eq!(&classic, &extent_report);
         prop_assert_eq!(&extent_report, &fallback_report);
     }
 
-    /// (d) Oversubscribed phases (workers > cores) take the classic
-    /// fallback and still produce identical reports.
+    /// (d) Oversubscribed phases (workers > cores) take the per-op loop
+    /// and still produce reports identical to the reference run.
     #[test]
     fn oversubscription_falls_back_consistently(
         threads in 3u64..8,
-        shards in 2u32..6,
+        shards in 1u32..6,
         iterations in 1u64..30,
     ) {
         let shape = Shape {
@@ -358,7 +366,7 @@ proptest! {
             second_phase: true,
             serial_init: true,
         };
-        let baseline = run(&shape, 1, &mut NullObserver);
+        let baseline = run_reference(&shape, &mut NullObserver);
         let sharded = run(&shape, shards, &mut NullObserver);
         prop_assert_eq!(&baseline, &sharded);
     }
@@ -378,7 +386,7 @@ fn counting_observer_counts_match() {
         serial_init: true,
     };
     let mut classic = CountingObserver::default();
-    let baseline = run(&shape, 1, &mut classic);
+    let baseline = run_reference(&shape, &mut classic);
     let mut sharded_counter = CountingObserver::default();
     let sharded = run(&shape, 4, &mut sharded_counter);
     assert_eq!(baseline, sharded);
@@ -402,7 +410,7 @@ fn auto_shards_identical() {
         second_phase: false,
         serial_init: true,
     };
-    let baseline = run(&shape, 1, &mut NullObserver);
+    let baseline = run_reference(&shape, &mut NullObserver);
     let auto = run(&shape, 0, &mut NullObserver);
     assert_eq!(baseline, auto);
 }
@@ -433,7 +441,8 @@ fn fully_contended_run_identical() {
             )
             .build()
     };
-    let classic = Machine::new(MachineConfig::with_cores(8)).run(build(), &mut NullObserver);
+    let classic =
+        Machine::new(MachineConfig::with_cores(8)).run_reference(build(), &mut NullObserver);
     let sharded =
         Machine::new(MachineConfig::with_cores(8).with_shards(4)).run(build(), &mut NullObserver);
     assert_eq!(classic, sharded);
@@ -442,9 +451,9 @@ fn fully_contended_run_identical() {
 
 /// The cross-object workloads (co-resident objects packed into shared
 /// cache lines — the line-level assessment's stress cases) execute
-/// bit-identically across shard counts {1, 2, 4}: reports, the full
-/// surfaced event stream, and the sampled sequence all match the classic
-/// loop record for record.
+/// bit-identically at shard counts {1, 2, 4}: reports, the full surfaced
+/// event stream, and the sampled sequence all match the reference loop
+/// record for record.
 #[test]
 fn cross_object_workloads_identical_across_shard_counts() {
     use cheetah_workloads::{find, AppConfig};
@@ -463,35 +472,42 @@ fn cross_object_workloads_identical_across_shard_counts() {
             fixed: false,
             seed: 1,
         };
-        let run_at = |shards: u32| {
-            let machine = Machine::new(MachineConfig::with_cores(16).with_shards(shards));
+        // `None` runs the reference loop.
+        let run_at = |shards: Option<u32>| {
+            let machine =
+                Machine::new(MachineConfig::with_cores(16).with_shards(shards.unwrap_or(1)));
+            let run = |program, observer: &mut dyn ExecObserver| match shards {
+                Some(_) => machine.run(program, observer),
+                None => machine.run_reference(program, observer),
+            };
             let mut recorder = Recorder::default();
-            let report = machine.run(app.build(&config).program, &mut recorder);
+            let report = run(app.build(&config).program, &mut recorder);
             let mut sampler = ModuloSampler {
                 period: 7,
                 trap: 500,
                 samples: Vec::new(),
             };
-            let sampled_report = machine.run(app.build(&config).program, &mut sampler);
+            let sampled_report = run(app.build(&config).program, &mut sampler);
             (report, recorder, sampled_report, sampler.samples)
         };
-        let (report1, recorder1, sampled1, samples1) = run_at(1);
-        for shards in [2u32, 4] {
+        let (report1, recorder1, sampled1, samples1) = run_at(None);
+        for shards in [1u32, 2, 4] {
+            let shards = Some(shards);
             let (report, recorder, sampled, samples) = run_at(shards);
-            assert_eq!(report1, report, "{name} report at {shards} shards");
+            assert_eq!(report1, report, "{name} report at {shards:?} shards");
             assert_eq!(
                 recorder1.records, recorder.records,
-                "{name} event stream at {shards} shards"
+                "{name} event stream at {shards:?} shards"
             );
             assert_eq!(
                 recorder1.exits, recorder.exits,
-                "{name} thread exits at {shards} shards"
+                "{name} thread exits at {shards:?} shards"
             );
             assert_eq!(
                 sampled1, sampled,
-                "{name} perturbed report at {shards} shards"
+                "{name} perturbed report at {shards:?} shards"
             );
-            assert_eq!(samples1, samples, "{name} samples at {shards} shards");
+            assert_eq!(samples1, samples, "{name} samples at {shards:?} shards");
         }
         assert!(
             report1.coherence.invalidations > 100,
