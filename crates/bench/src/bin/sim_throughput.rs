@@ -358,8 +358,7 @@ fn main() {
         for _ in 0..reps {
             for (i, &engine) in engines.iter().enumerate() {
                 // A fresh untraced registry per execution: event deltas are
-                // scoped to this cell, immune to the global registry's other
-                // users.
+                // scoped to this cell.
                 let (report, wall, cell_events) =
                     run_cell(cell, engine, &ObsHandle::fresh_untraced());
                 walls[i].push(wall);

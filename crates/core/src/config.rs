@@ -212,7 +212,7 @@ pub struct CheetahConfig {
     pub assess_model: AssessModel,
     /// Telemetry registry the profiler reports into: sampler delivery
     /// counts, detector ingest counters and table-size gauges. Defaults to
-    /// the process-wide global registry; transparent to config equality.
+    /// a fresh untraced registry; transparent to config equality.
     pub obs: cheetah_obs::ObsHandle,
     /// Deterministic sample-stream fault plan for robustness testing: when
     /// set, every sample passes through a seeded

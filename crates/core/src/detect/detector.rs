@@ -341,11 +341,11 @@ impl Detector {
     /// Panics if the configuration is invalid (see
     /// [`DetectorConfig::validate`]).
     pub fn new(config: DetectorConfig) -> Self {
-        Detector::with_obs(config, &ObsHandle::global())
+        Detector::with_obs(config, &ObsHandle::default())
     }
 
     /// Creates a detector reporting ingest counts and table-size gauges
-    /// into `obs` instead of the global registry.
+    /// into `obs` instead of a private untraced registry.
     ///
     /// # Panics
     ///
@@ -621,14 +621,11 @@ impl Detector {
         IngestOutcome::Accepted
     }
 
-    /// Starts detailed tracking of `line`: under a capacity bound the
-    /// coldest tracked line is evicted first, and re-admission of a line
-    /// the sketch remembers counts as a re-promotion.
-    /// Parks a cold-line (or admission-denied) sample in the line's stage
-    /// buffer. Writes have priority: a full buffer evicts its oldest
-    /// staged read rather than drop a threshold-tripping write (a
-    /// read-mostly line could otherwise fill every slot before the writer
-    /// shows up).
+    /// Parks a cold-line sample in the line's stage buffer (samples the
+    /// capacity bound denies go to the coarse table instead). Writes have
+    /// priority: a full buffer evicts its oldest staged read rather than
+    /// drop a threshold-tripping write (a read-mostly line could otherwise
+    /// fill every slot before the writer shows up).
     fn stage(state: &mut LineState, staged: StagedSample, threshold: u32) {
         if state.staged.len() < LineState::stage_capacity(threshold) {
             state.staged.push(staged);

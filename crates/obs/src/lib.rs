@@ -13,7 +13,7 @@
 //! * **Scoped spans** ([`SpanGuard`]) — RAII wall-clock intervals with
 //!   typed attributes, recorded when the guard drops. Spans are only
 //!   stored when the registry was created with tracing enabled
-//!   ([`ObsHandle::fresh`]); on the global default registry they are
+//!   ([`ObsHandle::fresh`]); on the default, untraced registry they are
 //!   no-ops so long-lived processes never accumulate unbounded buffers.
 //!
 //! Handles are distributed through an [`ObsHandle`], a cheap `Arc` wrapper
@@ -38,7 +38,7 @@ pub use fnv::Fnv64;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A monotonically increasing event count.
@@ -244,8 +244,8 @@ struct Inner {
 
 /// A per-run telemetry registry: named metrics plus a span buffer.
 ///
-/// Constructed through [`ObsHandle::fresh`] (tracing on) or reached via
-/// [`ObsHandle::global`] (process-wide default, tracing off). All access
+/// Constructed through [`ObsHandle::fresh`] (tracing on) or
+/// [`ObsHandle::fresh_untraced`] (tracing off, also the `Default`). All access
 /// goes through [`ObsHandle`]; the registry itself is not instantiated
 /// directly.
 pub struct ObsRegistry {
@@ -267,7 +267,7 @@ impl std::fmt::Debug for ObsRegistry {
 /// `ObsHandle` implements `PartialEq`/`Eq` as *always equal* and hashes to
 /// nothing: observability is transparent to configuration identity, so a
 /// `MachineConfig` carrying a scoped registry still compares equal to one
-/// carrying the global default. `Default` yields the global handle.
+/// carrying the default. `Default` yields a fresh untraced registry.
 #[derive(Clone)]
 pub struct ObsHandle {
     reg: Arc<ObsRegistry>,
@@ -277,10 +277,6 @@ impl std::fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsHandle")
             .field("tracing", &self.reg.tracing)
-            .field(
-                "global",
-                &GLOBAL.get().is_some_and(|g| Arc::ptr_eq(&g.reg, &self.reg)),
-            )
             .finish()
     }
 }
@@ -295,11 +291,9 @@ impl Eq for ObsHandle {}
 
 impl Default for ObsHandle {
     fn default() -> Self {
-        ObsHandle::global()
+        ObsHandle::fresh_untraced()
     }
 }
-
-static GLOBAL: OnceLock<ObsHandle> = OnceLock::new();
 
 impl ObsHandle {
     fn with_tracing(tracing: bool) -> Self {
@@ -323,22 +317,6 @@ impl ObsHandle {
     /// without buffering spans they will never export.
     pub fn fresh_untraced() -> Self {
         ObsHandle::with_tracing(false)
-    }
-
-    /// The process-wide default registry.
-    ///
-    /// Counters, gauges and histograms work normally; span tracing is
-    /// disabled so code that never opts into a scoped registry cannot
-    /// accumulate an unbounded span buffer.
-    pub fn global() -> Self {
-        GLOBAL
-            .get_or_init(|| ObsHandle::with_tracing(false))
-            .clone()
-    }
-
-    /// Whether this handle refers to the process-wide default registry.
-    pub fn is_global(&self) -> bool {
-        GLOBAL.get().is_some_and(|g| Arc::ptr_eq(&g.reg, &self.reg))
     }
 
     /// Whether spans recorded through this handle are stored.
@@ -526,13 +504,13 @@ mod tests {
         assert_eq!(spans[0].name, "work");
         assert_eq!(spans[0].attr_u64("n"), Some(42));
 
-        let global = ObsHandle::global();
-        assert!(!global.tracing_enabled());
+        let untraced = ObsHandle::default();
+        assert!(!untraced.tracing_enabled());
         {
-            let mut span = global.span("work", 0);
+            let mut span = untraced.span("work", 0);
             span.attr_u64("n", 1);
         }
-        assert!(global.spans().is_empty());
+        assert!(untraced.spans().is_empty());
     }
 
     #[test]

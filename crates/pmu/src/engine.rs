@@ -69,11 +69,11 @@ impl SamplingEngine {
     ///
     /// [`ConfigError`] if the configuration is invalid (zero period).
     pub fn try_new(config: SamplerConfig) -> Result<Self, ConfigError> {
-        SamplingEngine::try_new_with_obs(config, &ObsHandle::global())
+        SamplingEngine::try_new_with_obs(config, &ObsHandle::default())
     }
 
     /// Creates an engine reporting delivery counts and sample-latency
-    /// summaries into `obs` instead of the global registry.
+    /// summaries into `obs` instead of a private untraced registry.
     ///
     /// # Panics
     ///

@@ -290,14 +290,14 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 impl FaultInjector {
-    /// Creates an injector for `plan`, reporting into the global `obs`
-    /// registry.
+    /// Creates an injector for `plan`, reporting into a private untraced
+    /// `obs` registry.
     ///
     /// # Errors
     ///
     /// [`ConfigError`] if the plan is invalid (see [`FaultPlan::validate`]).
     pub fn new(plan: FaultPlan) -> Result<Self, ConfigError> {
-        FaultInjector::with_obs(plan, &ObsHandle::global())
+        FaultInjector::with_obs(plan, &ObsHandle::default())
     }
 
     /// Creates an injector reporting per-kind fault counters into `obs`.

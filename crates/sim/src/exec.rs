@@ -52,8 +52,8 @@ pub struct MachineConfig {
     pub shards: u32,
     /// Telemetry registry the run reports into: execution counters
     /// ([`crate::metrics`]), per-phase spans and, when [`witness`] is set,
-    /// determinism state hashes. Defaults to the process-wide global
-    /// registry (span tracing disabled); transparent to config equality.
+    /// determinism state hashes. Defaults to a fresh untraced registry
+    /// (counters only, spans disabled); transparent to config equality.
     ///
     /// [`witness`]: MachineConfig::witness
     pub obs: ObsHandle,
@@ -78,9 +78,10 @@ pub struct MachineConfig {
     /// ([`Machine::run_reference`]) at every shard count. A perturbed
     /// policy replays a different feasible interleaving of the same
     /// per-worker event streams, deterministic given the policy's seed
-    /// (see [`crate::schedule`]). The per-op loop has no residue to
-    /// reorder, so oversubscribed phases (more workers than cores) and
-    /// reference runs ignore the policy.
+    /// (see [`crate::schedule`]). Serial phases have a single member and
+    /// nothing to reorder, and the per-op loop has no residue to reorder,
+    /// so serial phases, oversubscribed phases (more workers than cores)
+    /// and reference runs ignore the policy.
     pub schedule: SchedulePolicy,
 }
 
@@ -92,7 +93,7 @@ impl Default for MachineConfig {
             latency: LatencyModel::default(),
             thread_spawn_cost: 3_000,
             shards: 1,
-            obs: ObsHandle::global(),
+            obs: ObsHandle::default(),
             witness: false,
             audit_footprints: false,
             schedule: SchedulePolicy::Observed,
@@ -442,12 +443,14 @@ impl<'a> Execution<'a> {
                     if self.reference {
                         self.run_serial(&mut main, index);
                     } else {
-                        crate::shard::run_serial_sharded(
+                        crate::shard::run_phase_sharded(
                             self.config,
                             &mut self.directory,
                             self.observer,
-                            &mut main,
+                            std::slice::from_mut(&mut main),
                             index,
+                            kind,
+                            self.shards as usize,
                         );
                     }
                     phase_reports.push(PhaseReport {
@@ -495,12 +498,13 @@ impl<'a> Execution<'a> {
                     let ends = if self.reference || workers.len() as u32 > self.config.num_cores {
                         self.run_parallel(&mut workers, index)
                     } else {
-                        crate::shard::run_parallel_sharded(
+                        crate::shard::run_phase_sharded(
                             self.config,
                             &mut self.directory,
                             self.observer,
                             &mut workers,
                             index,
+                            kind,
                             self.shards as usize,
                         )
                     };

@@ -98,9 +98,6 @@ pub enum SamplerFork {
     /// precomputation, but every access is surfaced in merged order and the
     /// observer's returned perturbation is used as-is.
     EveryAccess,
-    /// The observer ignores accesses entirely and never perturbs
-    /// ([`NullObserver`]): no access needs surfacing.
-    Transparent,
     /// The observer's sampling decision for this thread is replicated by
     /// the given deterministic judge; only judged-sampled accesses are
     /// surfaced.
@@ -111,7 +108,6 @@ impl std::fmt::Debug for SamplerFork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SamplerFork::EveryAccess => f.write_str("SamplerFork::EveryAccess"),
-            SamplerFork::Transparent => f.write_str("SamplerFork::Transparent"),
             SamplerFork::Replica(_) => f.write_str("SamplerFork::Replica(..)"),
         }
     }
@@ -157,10 +153,12 @@ pub trait ExecObserver {
 
     /// Hands sharded execution a per-thread sampling replica (see
     /// [`ThreadSampler`]). Called at each phase start for every phase
-    /// member (right after the phase's `on_thread_start` callbacks for
-    /// spawned workers; for the main thread of a serial phase it may be
-    /// called repeatedly, and the replica must continue from the thread's
-    /// *current* sampling state). The default keeps the observer fully
+    /// member: right after the phase's `on_thread_start` callbacks for
+    /// spawned workers, and once per serial phase for the main thread —
+    /// mid-stream whenever an earlier phase already ran, so the replica
+    /// must continue from the thread's *current* sampling state (the
+    /// engine keeps judging at the thread's running instruction count).
+    /// The default keeps the observer fully
     /// informed ([`SamplerFork::EveryAccess`]), which is always correct;
     /// observers with a replicable sampling decision should return
     /// [`SamplerFork::Replica`] so sharded runs skip the per-access
@@ -180,7 +178,24 @@ pub struct NullObserver;
 
 impl ExecObserver for NullObserver {
     fn fork_sampler(&mut self, _thread: ThreadId) -> SamplerFork {
-        SamplerFork::Transparent
+        SamplerFork::Replica(Box::new(NeverSamples))
+    }
+}
+
+/// [`NullObserver`]'s replica: no access is ever sampled or perturbed, so
+/// the engine never even calls [`ThreadSampler::judge`].
+struct NeverSamples;
+
+impl ThreadSampler for NeverSamples {
+    fn judge(&mut self, _instrs_before: u64) -> SampleJudgement {
+        SampleJudgement {
+            perturbation: 0,
+            sampled: false,
+        }
+    }
+
+    fn next_tag(&self) -> u64 {
+        u64::MAX
     }
 }
 

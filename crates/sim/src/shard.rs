@@ -92,6 +92,16 @@
 //! against the real busy windows, yielding at the horizon exactly like the
 //! per-op loop.
 //!
+//! ## Serial phases
+//!
+//! A serial phase is the degenerate sharded phase: the main thread as its
+//! only member. It enters through the same [`run_phase_sharded`] as a
+//! parallel phase; its class table is one all-covering extent private to
+//! that member, so its footprint is never read and its stream never
+//! materialised, and only its sampled accesses become merge events. Its
+//! precompute continues the main thread's retired counts, so the sampling
+//! replica forked at each serial phase resumes mid-stream.
+//!
 //! Determinism is structural: the precompute pass is per-worker (the
 //! partitioning of workers onto host threads cannot affect its output) and
 //! the merge order is a pure function of worker clocks, so *any* shard
@@ -273,10 +283,10 @@ impl OpFeed {
     }
 }
 
-/// Worker-local simulation of private lines, shared by the fused serial
-/// path and the parallel precompute pass: a direct-mapped hot cache in
-/// front of uniform-state run accumulators, with a per-line exception map
-/// as the always-correct spill path.
+/// Worker-local simulation of private lines in the precompute pass (every
+/// line of a serial phase's one member, a parallel phase's private lines):
+/// a direct-mapped hot cache in front of uniform-state run accumulators,
+/// with a per-line exception map as the always-correct spill path.
 struct PrivateSim {
     hot: [(CacheLineId, LineState, bool); HOT_WAYS],
     /// Lines that must be restored per line: seeded from a per-line
@@ -594,124 +604,26 @@ impl Settle {
     }
 }
 
-/// Runs one serial phase with the sharded engine's fast local access path;
-/// drop-in replacement for the per-op `Execution::run_serial`.
+/// Runs one phase sharded; drop-in replacement for the per-op
+/// `Execution::run_serial` / `Execution::run_parallel` (same inputs, same
+/// outputs, same observer callback sequence). Members must sit on
+/// pairwise-distinct cores.
 ///
-/// A serial phase is the degenerate sharded phase: one thread, no other
-/// actor, so *every* line is private and no classification or merge is
-/// needed at all. The stream executes in a single fused pass over the same
-/// [`PrivateSim`] machinery as the parallel precompute — hot-line cache,
-/// uniform-run write-back, sampling replica skipping the per-access
-/// observer callback. The replica forks from the main thread's *current*
-/// sampling state, so repeated serial phases chain exactly.
-pub(crate) fn run_serial_sharded(
-    config: &MachineConfig,
-    directory: &mut Directory,
-    observer: &mut dyn ExecObserver,
-    main: &mut ThreadCtx,
-    phase_index: u32,
-) {
-    let mut span = config.obs.span("shard.serial", OBS_LANE_ENGINE);
-    span.attr_u64("phase", u64::from(phase_index));
-    let line_size = config.cache_line_size;
-    let latency = &config.latency;
-    let cpi = latency.cycles_per_instruction;
-    let core = main.core;
-    let mut fork = observer.fork_sampler(main.id);
-    let mut next_tag: u64 = match &fork {
-        SamplerFork::Replica(replica) => replica.next_tag(),
-        _ => 0,
-    };
-    let mut sim = PrivateSim::new(core);
-    let mut next_sequential: u64 = directory
-        .last_line_for(core)
-        .map_or(u64::MAX, |l| l.0.wrapping_add(1));
-    let mut last_line = directory.last_line_for(core);
-    let mut clock = main.clock;
-    let (mut folded, mut surfaced_count) = (0u64, 0u64);
-
-    while let Some(op) = main.stream.next_op() {
-        match op {
-            Op::Work(n) => {
-                main.instructions += n;
-                clock += n * cpi;
-            }
-            Op::Read(addr) | Op::Write(addr) => {
-                let write = matches!(op, Op::Write(_));
-                let line = addr.line(line_size);
-                let (perturbation, surfaced) = match &mut fork {
-                    SamplerFork::Transparent => (Some(0), false),
-                    SamplerFork::EveryAccess => (None, true),
-                    SamplerFork::Replica(replica) => {
-                        if main.instructions >= next_tag {
-                            let judgement = replica.judge(main.instructions);
-                            next_tag = replica.next_tag();
-                            (Some(judgement.perturbation), judgement.sampled)
-                        } else {
-                            (Some(0), false)
-                        }
-                    }
-                };
-                let sequential = next_sequential == line.0;
-                next_sequential = line.0.wrapping_add(1);
-                let (outcome, cost) = sim.access(directory, latency, core, line, write, sequential);
-                let perturb = if surfaced {
-                    surfaced_count += 1;
-                    let record = AccessRecord {
-                        thread: main.id,
-                        core,
-                        addr,
-                        kind: if write {
-                            AccessKind::Write
-                        } else {
-                            AccessKind::Read
-                        },
-                        outcome,
-                        latency: cost,
-                        start: clock,
-                        instrs_before: main.instructions,
-                        phase_index,
-                        phase_kind: PhaseKind::Serial,
-                    };
-                    let returned = observer.on_access(&record);
-                    perturbation.unwrap_or(returned)
-                } else {
-                    folded += 1;
-                    perturbation.expect("unsurfaced access has judgement")
-                };
-                clock += cost + perturb;
-                main.instructions += 1;
-                if write {
-                    main.writes += 1;
-                } else {
-                    main.reads += 1;
-                }
-                last_line = Some(line);
-            }
-        }
-    }
-
-    sim.write_back(directory);
-    directory.set_last_line(core, last_line);
-    main.clock = clock;
-    let counters = SimCounters::of(&config.obs);
-    counters.count_folded(folded);
-    counters.count_merged(surfaced_count);
-    counters.count_surfaced(surfaced_count);
-    span.attr_u64("folded", folded);
-    span.attr_u64("surfaced", surfaced_count);
-    span.finish();
-}
-
-/// Runs one parallel phase sharded; drop-in replacement for the per-op
-/// `Execution::run_parallel` (same inputs, same outputs, same observer
-/// callback sequence). Workers must sit on pairwise-distinct cores.
-pub(crate) fn run_parallel_sharded(
+/// A serial phase is the main thread as the phase's only member. `kind`
+/// decides everything that differs: the [`AccessRecord::phase_kind`]
+/// surfaced accesses carry; whether a member's exit reaches
+/// [`ExecObserver::on_thread_exit`] (spawned workers exit, the main thread
+/// of a serial phase does not); the class table (a serial phase's lines are
+/// all private to its member, so its footprint is never read and its stream
+/// never materialised); and the merge order (serial phases ignore
+/// [`MachineConfig::schedule`]).
+pub(crate) fn run_phase_sharded(
     config: &MachineConfig,
     directory: &mut Directory,
     observer: &mut dyn ExecObserver,
     workers: &mut [ThreadCtx],
     phase_index: u32,
+    kind: PhaseKind,
     shards: usize,
 ) -> Vec<Cycles> {
     let line_size = config.cache_line_size;
@@ -728,37 +640,28 @@ pub(crate) fn run_parallel_sharded(
         .map(|w| observer.fork_sampler(w.id))
         .collect();
 
-    // Pass 1a: footprints. Streams that declare one skip materialisation
-    // entirely; the rest are drained into a trace whose touched lines
-    // coalesce into exact extents.
+    // Pass 1a: classification.
     let streams: Vec<Box<dyn AccessStream>> = workers
         .iter_mut()
         .map(|w| std::mem::replace(&mut w.stream, Box::new(OpsStream::new(Vec::new()))))
         .collect();
-    let footprints: Vec<Footprint> = streams.iter().map(|s| s.footprint()).collect();
-    let feeds: Vec<OpFeed> = parallel_map(
-        streams.into_iter().zip(&footprints).collect(),
-        shards,
-        &|_slot, (stream, footprint)| match footprint {
-            Footprint::Bounded(_) => OpFeed::Stream {
-                stream,
-                trailing: 0,
-            },
-            Footprint::Unknown => OpFeed::Mat(materialize(stream, line_size), 0),
-        },
-    );
-    let per_worker_extents: Vec<Vec<LineExtent>> = feeds
-        .iter()
-        .zip(&footprints)
-        .map(|(feed, footprint)| match (feed, footprint) {
-            (_, Footprint::Bounded(extents)) => byte_to_line_extents(extents, line_size),
-            (OpFeed::Mat(mat, _), _) => extents_from_touched(&mat.touched),
-            (OpFeed::Stream { .. }, Footprint::Unknown) => {
-                unreachable!("unhinted stream materialised")
-            }
-        })
-        .collect();
-    let table = ClassTable::build(&per_worker_extents);
+    let (feeds, table) = match kind {
+        PhaseKind::Serial => (
+            streams
+                .into_iter()
+                .map(|stream| OpFeed::Stream {
+                    stream,
+                    trailing: 0,
+                })
+                .collect(),
+            ClassTable::build(&[vec![LineExtent {
+                start: 0,
+                end: u64::MAX,
+                wrote: true,
+            }]]),
+        ),
+        PhaseKind::Parallel => classify(streams, line_size, shards),
+    };
     let t_class = t0.elapsed();
     span_classify.finish();
     let mut span_precompute = config.obs.span("shard.precompute", OBS_LANE_ENGINE);
@@ -766,28 +669,28 @@ pub(crate) fn run_parallel_sharded(
     span_precompute.attr_u64("shards", shards as u64);
 
     // Pass 1b: per-worker event precomputation, fanned out on host threads.
-    let inputs: Vec<(OpFeed, SamplerFork, u32, CoreId, Option<CacheLineId>)> = {
-        let mut inputs = Vec::with_capacity(workers.len());
-        let mut forks = forks.into_iter();
-        for (slot, (feed, worker)) in feeds.into_iter().zip(workers.iter()).enumerate() {
-            inputs.push((
-                feed,
-                forks.next().expect("fork per worker"),
-                slot as u32,
-                worker.core,
-                directory.last_line_for(worker.core),
-            ));
-        }
-        inputs
-    };
+    // Members continue their retired counts: the main thread's sampling
+    // replica and `instrs_before` run on across serial phases.
+    let inputs: Vec<_> = feeds
+        .into_iter()
+        .zip(forks)
+        .zip(workers.iter())
+        .enumerate()
+        .map(|(slot, ((feed, fork), w))| {
+            let counts = (w.instructions, w.reads, w.writes);
+            let last_line = directory.last_line_for(w.core);
+            (feed, fork, slot as u32, w.core, counts, last_line)
+        })
+        .collect();
     let latency_ref = &latency;
     let table_ref = &table;
     let directory_ref: &Directory = directory;
     let mut plans: Vec<WorkerPlan> = parallel_map(inputs, shards, &|_slot, input| {
-        let (feed, fork, me, core, last_line) = input;
+        let (feed, fork, me, core, counts, last_line) = input;
         precompute_worker(
             me,
             core,
+            counts,
             feed,
             fork,
             last_line,
@@ -803,22 +706,26 @@ pub(crate) fn run_parallel_sharded(
     span_merge.attr_u64("phase", u64::from(phase_index));
 
     // Pass 2: deterministic merge — in observed (timestamp) order, or in
-    // the perturbed order a schedule policy draws from the same plans.
+    // the perturbed order a schedule policy draws from the same plans
+    // (parallel phases only: a lone member has nothing to reorder).
     let counters = SimCounters::of(&config.obs);
     let mut replay = Replay {
         directory: &mut *directory,
         observer,
         settle: Settle::new(&plans),
         phase_index,
+        phase_kind: kind,
         latency: &latency,
         line_size,
         merged: 0,
         folded: 0,
         surfaced: 0,
     };
-    let ends = match config.schedule {
-        SchedulePolicy::Observed => merge(&mut replay, workers, &plans),
-        policy => merge_perturbed(
+    let ends = match (kind, config.schedule) {
+        (PhaseKind::Serial, _) | (_, SchedulePolicy::Observed) => {
+            merge(&mut replay, workers, &plans)
+        }
+        (PhaseKind::Parallel, policy) => merge_perturbed(
             &mut replay,
             workers,
             &plans,
@@ -857,6 +764,41 @@ pub(crate) fn run_parallel_sharded(
         (t_merge - t_pre).as_nanos() as u64,
     );
     ends
+}
+
+/// Classifies a parallel phase's lines from its members' footprints.
+/// Streams that declare one skip materialisation entirely; the rest are
+/// drained into a trace whose touched lines coalesce into exact extents.
+fn classify(
+    streams: Vec<Box<dyn AccessStream>>,
+    line_size: u64,
+    shards: usize,
+) -> (Vec<OpFeed>, ClassTable) {
+    let footprints: Vec<Footprint> = streams.iter().map(|s| s.footprint()).collect();
+    let feeds: Vec<OpFeed> = parallel_map(
+        streams.into_iter().zip(&footprints).collect(),
+        shards,
+        &|_slot, (stream, footprint)| match footprint {
+            Footprint::Bounded(_) => OpFeed::Stream {
+                stream,
+                trailing: 0,
+            },
+            Footprint::Unknown => OpFeed::Mat(materialize(stream, line_size), 0),
+        },
+    );
+    let per_worker_extents: Vec<Vec<LineExtent>> = feeds
+        .iter()
+        .zip(&footprints)
+        .map(|(feed, footprint)| match (feed, footprint) {
+            (_, Footprint::Bounded(extents)) => byte_to_line_extents(extents, line_size),
+            (OpFeed::Mat(mat, _), _) => extents_from_touched(&mat.touched),
+            (OpFeed::Stream { .. }, Footprint::Unknown) => {
+                unreachable!("unhinted stream materialised")
+            }
+        })
+        .collect();
+    let table = ClassTable::build(&per_worker_extents);
+    (feeds, table)
 }
 
 /// Converts a stream's byte-extent footprint to line extents, merging
@@ -938,12 +880,14 @@ fn materialize(mut stream: Box<dyn AccessStream>, line_size: u64) -> Mat {
 ///
 /// A line's class is resolved through the phase's extent table with one
 /// cached range comparison in the common case; private lines run through
-/// [`PrivateSim`]. (Serial phases do not come through here — they use the
-/// fused loop in [`run_serial_sharded`].)
+/// [`PrivateSim`]. The member's retired counts continue from `counts`
+/// (zero for a spawned worker; the main thread's totals so far when it is
+/// a serial phase's only member).
 #[allow(clippy::too_many_arguments)]
 fn precompute_worker(
     me: u32,
     core: CoreId,
+    counts: (u64, u64, u64),
     mut feed: OpFeed,
     mut fork: SamplerFork,
     last_line: Option<CacheLineId>,
@@ -956,7 +900,7 @@ fn precompute_worker(
     let mut surfaced_events: Vec<Surfaced> = Vec::new();
     let mut runs: Vec<HitRun> = Vec::new();
     let mut lead: Cycles = 0;
-    let (mut instructions, mut reads, mut writes) = (0u64, 0u64, 0u64);
+    let (mut instructions, mut reads, mut writes) = counts;
     let mut sim = PrivateSim::new(core);
     let cpi = latency.cycles_per_instruction;
     let mut folded = 0u64;
@@ -1017,7 +961,6 @@ fn precompute_worker(
         lead += work_before * cpi;
         let line = addr.line(line_size);
         let (perturbation, surfaced) = match &mut fork {
-            SamplerFork::Transparent => (Some(0), false),
             SamplerFork::EveryAccess => (None, true),
             SamplerFork::Replica(replica) => {
                 if instructions >= next_tag {
@@ -1225,38 +1168,6 @@ impl<'a> MergeWorker<'a> {
             self.clock + ev.lead
         }
     }
-
-    /// Builds the access record of the worker's next surfaced event and
-    /// invokes the observer; returns the perturbation to charge (the
-    /// replica's when one was forked, otherwise the observer's).
-    fn surface(
-        &mut self,
-        observer: &mut dyn ExecObserver,
-        addr: Addr,
-        write: bool,
-        outcome: AccessOutcome,
-        latency: Cycles,
-        phase_index: u32,
-    ) -> Cycles {
-        let surfaced = self
-            .surfaced
-            .next()
-            .expect("every surfaced event has its observer half");
-        let record = AccessRecord {
-            thread: self.id,
-            core: self.core,
-            addr,
-            kind: access_kind(write),
-            outcome,
-            latency,
-            start: self.clock,
-            instrs_before: surfaced.instrs_before,
-            phase_index,
-            phase_kind: PhaseKind::Parallel,
-        };
-        let returned = observer.on_access(&record);
-        surfaced.perturbation.unwrap_or(returned)
-    }
 }
 
 fn access_kind(write: bool) -> AccessKind {
@@ -1297,6 +1208,7 @@ struct Replay<'m> {
     observer: &'m mut dyn ExecObserver,
     settle: Settle,
     phase_index: u32,
+    phase_kind: PhaseKind,
     latency: &'m LatencyModel,
     line_size: u64,
     merged: u64,
@@ -1341,20 +1253,42 @@ impl Replay<'_> {
             }
             EvKind::HitRun(_) | EvKind::Exit => unreachable!("not a single-access event"),
         };
+        // A surfaced access reaches the observer; it is charged the
+        // replica's perturbation when one was forked, else the observer's.
         let perturb = if surfaced {
             self.surfaced += 1;
-            w.surface(
-                self.observer,
-                ev.addr,
-                write,
+            let half = w
+                .surfaced
+                .next()
+                .expect("every surfaced event has its observer half");
+            let record = AccessRecord {
+                thread: w.id,
+                core: w.core,
+                addr: ev.addr,
+                kind: access_kind(write),
                 outcome,
                 latency,
-                self.phase_index,
-            )
+                start: w.clock,
+                instrs_before: half.instrs_before,
+                phase_index: self.phase_index,
+                phase_kind: self.phase_kind,
+            };
+            let returned = self.observer.on_access(&record);
+            half.perturbation.unwrap_or(returned)
         } else {
             0
         };
         w.clock += latency + perturb;
+    }
+
+    /// Ends the worker at its `Exit` event; returns its end time. Spawned
+    /// workers exit here, the main thread of a serial phase runs on.
+    fn exit(&mut self, w: &mut MergeWorker<'_>, ev: &Ev) -> Cycles {
+        w.clock += ev.lead;
+        if self.phase_kind == PhaseKind::Parallel {
+            self.observer.on_thread_exit(w.id, w.clock);
+        }
+        w.clock
     }
 
     /// A proven L1 hit on a read-shared line at `now`: records it and
@@ -1432,9 +1366,7 @@ fn merge(replay: &mut Replay<'_>, workers: &[ThreadCtx], plans: &[WorkerPlan]) -
             let ev = w.pending.take().expect("popped worker has an event");
             match ev.kind {
                 EvKind::Exit => {
-                    w.clock += ev.lead;
-                    ends[slot] = w.clock;
-                    replay.observer.on_thread_exit(w.id, w.clock);
+                    ends[slot] = replay.exit(w, ev);
                     break 'burst;
                 }
                 EvKind::HitRun(run) => {
@@ -1572,9 +1504,7 @@ fn merge_perturbed(
         let ev = w.pending.take().expect("live worker has a pending event");
         match ev.kind {
             EvKind::Exit => {
-                w.clock += ev.lead;
-                ends[slot] = w.clock;
-                replay.observer.on_thread_exit(w.id, w.clock);
+                ends[slot] = replay.exit(w, ev);
                 live.swap_remove(choice);
                 continue;
             }

@@ -9,7 +9,9 @@
 //! (c) the replica sampling path (only sampled accesses surfaced) yields
 //!     the identical sample sequence and identical perturbed timings;
 //! (d) oversubscribed phases (more workers than cores) run on the per-op
-//!     loop inside an otherwise sharded run and still match.
+//!     loop inside an otherwise sharded run and still match;
+//! (g) serial phases that follow parallel phases continue the main
+//!     thread's instruction count and sampling state mid-stream.
 
 use cheetah_sim::{
     AccessKind, AccessRecord, AccessStream, Addr, CountingObserver, Cycles, ExecObserver,
@@ -37,7 +39,8 @@ impl<S: AccessStream> AccessStream for HiddenFootprint<S> {
 /// Workload shape: a serial init phase plus one or two parallel phases
 /// whose threads mix four traffic classes — thread-private lines, a
 /// read-only shared table, a falsely-shared line of adjacent words, and a
-/// sequential sweep (exercising the prefetch path).
+/// sequential sweep (exercising the prefetch path) — optionally each
+/// followed by a serial phase that revisits the workers' lines.
 #[derive(Debug, Clone)]
 struct Shape {
     threads: u64,
@@ -47,6 +50,7 @@ struct Shape {
     work: u64,
     second_phase: bool,
     serial_init: bool,
+    serial_after: bool,
 }
 
 fn build_program(shape: &Shape) -> Program {
@@ -63,6 +67,7 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
         work,
         second_phase,
         serial_init,
+        serial_after,
         ..
     } = *shape;
     let shared_line = Addr(0x1000);
@@ -70,6 +75,7 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
     let private_base = Addr(0x100_000);
     let sweep_base = Addr(0x900_000);
     let stream_base = Addr(0xA00_000);
+    let tail_base = Addr(0xB00_000);
 
     fn spec(name: String, stream: impl AccessStream + 'static, hide: bool) -> ThreadSpec {
         if hide {
@@ -127,6 +133,23 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
         workers
     };
 
+    // The main thread revisits lines the phase's workers left behind
+    // (contended, read-shared, private, swept) and writes lines of its own.
+    let serial_tail = |phase: u64| -> ThreadSpec {
+        let mut ops = Vec::new();
+        for i in 0..threads * 3 + iterations {
+            ops.push(Op::Read(shared_line.offset((i % threads) * 4)));
+            ops.push(Op::Read(read_table.offset((i % 4) * 64)));
+            ops.push(Op::Write(
+                private_base.offset((i % threads) * private_stride),
+            ));
+            ops.push(Op::Read(sweep_base.offset((i % threads) * 4096 + 64)));
+            ops.push(Op::Write(tail_base.offset(phase * 0x1000 + i * 8)));
+            ops.push(Op::Work(work + 1));
+        }
+        spec(format!("tail{phase}"), OpsStream::new(ops), hide)
+    };
+
     let mut builder = ProgramBuilder::new("shard-prop");
     if serial_init {
         let mut init = Vec::new();
@@ -137,8 +160,14 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
         builder = builder.serial(spec("init".to_string(), OpsStream::new(init), hide));
     }
     builder = builder.parallel(make_workers(0));
+    if serial_after {
+        builder = builder.serial(serial_tail(0));
+    }
     if second_phase {
         builder = builder.parallel(make_workers(1));
+        if serial_after {
+            builder = builder.serial(serial_tail(1));
+        }
     }
     builder.build()
 }
@@ -225,9 +254,9 @@ impl ExecObserver for ModuloSampler {
 fn arb_shape() -> impl Strategy<Value = Shape> {
     (
         (1u64..7, 0u32..2, 1u64..40),
+        (proptest::sample::select(vec![64u64, 72, 128]), 0u64..12),
         (
-            proptest::sample::select(vec![64u64, 72, 128]),
-            0u64..12,
+            proptest::bool::ANY,
             proptest::bool::ANY,
             proptest::bool::ANY,
         ),
@@ -235,7 +264,8 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         .prop_map(
             |(
                 (threads, extra_cores, iterations),
-                (private_stride, work, second_phase, serial_init),
+                (private_stride, work),
+                (second_phase, serial_init, serial_after),
             )| {
                 Shape {
                     threads,
@@ -247,6 +277,7 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
                     work,
                     second_phase,
                     serial_init,
+                    serial_after,
                 }
             },
         )
@@ -341,6 +372,7 @@ proptest! {
             work: 3,
             second_phase: true,
             serial_init: true,
+            serial_after: false,
         };
         let extent_report = run(&shape, shards, &mut NullObserver);
         let fallback_report = run_hidden(&shape, shards, &mut NullObserver);
@@ -365,10 +397,74 @@ proptest! {
             work: 3,
             second_phase: true,
             serial_init: true,
+            serial_after: false,
         };
         let baseline = run_reference(&shape, &mut NullObserver);
         let sharded = run(&shape, shards, &mut NullObserver);
         prop_assert_eq!(&baseline, &sharded);
+    }
+}
+
+/// (g) Serial phases after parallel phases (serial → parallel → serial →
+/// parallel → serial): the main thread's retired-instruction count and
+/// sampling replica continue mid-stream, so the surfaced record stream
+/// (EveryAccess, with `instrs_before`) and the sample sequence match the
+/// reference loop at shard counts 1 and 2.
+#[test]
+fn serial_phases_after_parallel_phases_identical() {
+    let shape = Shape {
+        threads: 3,
+        cores: 8,
+        iterations: 25,
+        private_stride: 72,
+        work: 4,
+        second_phase: true,
+        serial_init: true,
+        serial_after: true,
+    };
+    let mut reference_rec = Recorder::default();
+    let reference = run_reference(&shape, &mut reference_rec);
+    assert_eq!(reference.phases.len(), 5);
+    for period in [7u64, 97] {
+        let mut reference_sampler = ModuloSampler {
+            period,
+            trap: 300,
+            samples: Vec::new(),
+        };
+        let reference_sampled = run_reference(&shape, &mut reference_sampler);
+        // The guard needs main-thread samples after a parallel phase.
+        let first_parallel_end = reference_sampled.phases[1].end;
+        assert!(
+            reference_sampler
+                .samples
+                .iter()
+                .any(|&(thread, _, _, start)| thread.is_main() && start >= first_parallel_end),
+            "period {period}: no main-thread sample after a parallel phase"
+        );
+        for shards in [1u32, 2] {
+            let mut rec = Recorder::default();
+            let report = run(&shape, shards, &mut rec);
+            assert_eq!(reference, report, "report at {shards} shards");
+            assert_eq!(
+                reference_rec.records, rec.records,
+                "record stream at {shards} shards"
+            );
+            assert_eq!(reference_rec.exits, rec.exits, "exits at {shards} shards");
+            let mut sampler = ModuloSampler {
+                period,
+                trap: 300,
+                samples: Vec::new(),
+            };
+            let sampled = run(&shape, shards, &mut sampler);
+            assert_eq!(
+                reference_sampled, sampled,
+                "period {period}: sampled report at {shards} shards"
+            );
+            assert_eq!(
+                reference_sampler.samples, sampler.samples,
+                "period {period}: samples at {shards} shards"
+            );
+        }
     }
 }
 
@@ -384,6 +480,7 @@ fn counting_observer_counts_match() {
         work: 5,
         second_phase: true,
         serial_init: true,
+        serial_after: false,
     };
     let mut classic = CountingObserver::default();
     let baseline = run_reference(&shape, &mut classic);
@@ -409,6 +506,7 @@ fn auto_shards_identical() {
         work: 2,
         second_phase: false,
         serial_init: true,
+        serial_after: false,
     };
     let baseline = run_reference(&shape, &mut NullObserver);
     let auto = run(&shape, 0, &mut NullObserver);
@@ -529,6 +627,7 @@ fn surfaced_records_have_expected_kinds() {
         work: 1,
         second_phase: false,
         serial_init: false,
+        serial_after: false,
     };
     let mut rec = Recorder::default();
     run(&shape, 3, &mut rec);
