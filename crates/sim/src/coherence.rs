@@ -589,6 +589,12 @@ impl Directory {
         }
     }
 
+    /// The extent overlay's ranges, sorted and disjoint.
+    #[cfg(test)]
+    pub(crate) fn overlay_ranges(&self) -> &[(u64, u64, LineState)] {
+        &self.overlay
+    }
+
     /// Whether the LLC holds the line; seed-side companion of
     /// [`Directory::seed_of`] for cold lines.
     pub(crate) fn llc_resident(&self, line: CacheLineId) -> bool {

@@ -43,10 +43,12 @@ pub struct MachineConfig {
     pub latency: LatencyModel,
     /// Main-thread cycles consumed by each `pthread_create`.
     pub thread_spawn_cost: Cycles,
-    /// Host threads the sharded executor fans each parallel phase's
-    /// per-worker precompute pass out over (the `--shards N` knob of the
-    /// bench harnesses); `0` means "auto" (the host's available
-    /// parallelism). It selects no engine: every value runs the same
+    /// Host threads the sharded executor fans each phase's per-worker
+    /// precompute pass (and the draining of streams without a declared
+    /// footprint) out over, the `--shards N` knob of the bench harnesses;
+    /// a serial phase's one member always runs on the calling thread. `0`
+    /// means "auto" (the host's available parallelism). It selects no
+    /// engine: every value runs the same
     /// sharded executor (see [`crate::shard`]), and reports are
     /// bit-identical for every value; only wall-clock time changes.
     pub shards: u32,

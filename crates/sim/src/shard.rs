@@ -49,18 +49,17 @@
 //!
 //! A private line's whole phase history is computed in precompute; only
 //! *sampled* private accesses become events, everything else folds into
-//! the next event's `lead` cycles. The per-line residue — a map entry per
-//! line for the final MESI state, a directory insert per line at
-//! write-back — is folded too: completed private lines
-//! accumulate into uniform-state **runs** (`extent::RangeList`)
-//! and are written back as whole extents
-//! (`Directory::restore_extent`), so a streaming
+//! the next event's `lead` cycles. The per-line residue folds too: each
+//! worker keeps its private lines in one table indexed by line number
+//! (`LineTable`, paged so memory follows the lines it touches), each cell
+//! holding the line's MESI state and whether it was seeded from a
+//! per-line directory entry ("pinned"). Write-back walks the table in line
+//! order and restores each run of consecutive unpinned lines in one state
+//! as a whole extent (`Directory::restore_extent`), so a streaming
 //! worker's million-access private-write sweep costs the directory a
-//! handful of range splices instead of thousands of per-line events. Lines
-//! whose state diverges from their run (or that were seeded from a
-//! per-line directory entry, which would shadow a range restore) spill
-//! into a per-line exception map — correctness never depends on the
-//! folding succeeding.
+//! handful of range splices instead of thousands of per-line events.
+//! Pinned lines are restored per line: their per-line entries would
+//! shadow a range restore.
 //!
 //! 2. **Merge** (single-threaded): the per-worker event streams are merged
 //!    on a min-heap keyed by `(timestamp, worker, seq)` — the exact order
@@ -95,7 +94,7 @@
 //! ## Serial phases
 //!
 //! A serial phase is the degenerate sharded phase: the main thread as its
-//! only member. It enters through the same [`run_phase_sharded`] as a
+//! only member. It enters through the same `run_phase_sharded` as a
 //! parallel phase; its class table is one all-covering extent private to
 //! that member, so its footprint is never read and its stream never
 //! materialised, and only its sampled accesses become merge events. Its
@@ -124,10 +123,8 @@ use crate::util::{FastMap, FastSet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Ways of the private hot-line cache (direct-mapped).
-const HOT_WAYS: usize = 4;
-/// Once a uniform-state run list fragments this far, further non-extending
-/// lines spill to the per-line exception map instead of `Vec::insert`.
+/// Once a range list fragments this far, further non-extending lines spill
+/// to a per-line collection instead of `Vec::insert`.
 const FRAG_CAP: usize = 512;
 /// Widest hit-run line span checked line by line for early folding; wider
 /// runs wait for global settling.
@@ -283,18 +280,73 @@ impl OpFeed {
     }
 }
 
+/// Lines per page of a [`LineTable`].
+const PAGE_LINES: u64 = 256;
+
+/// One line of a [`LineTable`]: its MESI state so far this phase (`None`
+/// until the worker touches it) and whether it was seeded from a per-line
+/// directory entry, which would shadow a range restore of the line.
+#[derive(Clone, Copy, Default)]
+struct Cell {
+    state: Option<LineState>,
+    pinned: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Cell>() == 24);
+
+/// A worker's private lines, indexed by line number: pages of
+/// [`PAGE_LINES`] cells allocated on first touch, so memory follows the
+/// lines the worker touches. The last two pages used stay cached, which
+/// keeps loops that alternate between two regions off the page map.
+#[derive(Default)]
+struct LineTable {
+    pages: Vec<(u64, Box<[Cell]>)>,
+    /// Page id to its index in `pages`.
+    index: FastMap<u64, usize>,
+    /// Indices in `pages` of the two most recently used pages, newest first.
+    recent: [usize; 2],
+}
+
+impl LineTable {
+    #[inline]
+    fn cell(&mut self, line: CacheLineId) -> &mut Cell {
+        let page = line.0 / PAGE_LINES;
+        let holds =
+            |pages: &[(u64, Box<[Cell]>)], idx: usize| pages.get(idx).is_some_and(|p| p.0 == page);
+        if !holds(&self.pages, self.recent[0]) {
+            if holds(&self.pages, self.recent[1]) {
+                self.recent.swap(0, 1);
+            } else {
+                let pages = &mut self.pages;
+                let idx = *self.index.entry(page).or_insert_with(|| {
+                    pages.push((page, vec![Cell::default(); PAGE_LINES as usize].into()));
+                    pages.len() - 1
+                });
+                self.recent = [idx, self.recent[0]];
+            }
+        }
+        &mut self.pages[self.recent[0]].1[(line.0 % PAGE_LINES) as usize]
+    }
+
+    /// Every touched line in line order, with its final state and pin.
+    fn into_lines(mut self) -> impl Iterator<Item = (u64, LineState, bool)> {
+        self.pages.sort_unstable_by_key(|&(page, _)| page);
+        self.pages.into_iter().flat_map(|(page, cells)| {
+            cells
+                .into_vec()
+                .into_iter()
+                .zip(page * PAGE_LINES..)
+                .filter_map(|(cell, line)| Some((line, cell.state?, cell.pinned)))
+        })
+    }
+}
+
 /// Worker-local simulation of private lines in the precompute pass (every
-/// line of a serial phase's one member, a parallel phase's private lines):
-/// a direct-mapped hot cache in front of uniform-state run accumulators,
-/// with a per-line exception map as the always-correct spill path.
+/// line of a serial phase's one member, a parallel phase's private lines),
+/// on the worker's [`LineTable`].
+#[derive(Default)]
 struct PrivateSim {
-    hot: [(CacheLineId, LineState, bool); HOT_WAYS],
-    /// Lines that must be restored per line: seeded from a per-line
-    /// directory entry (which would shadow a range restore) or diverged
-    /// from their run's uniform state.
-    exceptions: FastMap<CacheLineId, LineState>,
-    /// Completed lines grouped by final state, coalesced into ranges.
-    buckets: Vec<(LineState, RangeList)>,
+    lines: LineTable,
     /// Lines that became LLC-resident during the phase, coalesced; spills
     /// to `llc_lines` once fragmented.
     llc_ranges: RangeList,
@@ -302,69 +354,7 @@ struct PrivateSim {
     stats: crate::stats::CoherenceStats,
 }
 
-const NO_LINE: CacheLineId = CacheLineId(u64::MAX);
-
 impl PrivateSim {
-    fn new(core: CoreId) -> Self {
-        PrivateSim {
-            hot: [(NO_LINE, LineState::Exclusive(core), false); HOT_WAYS],
-            exceptions: FastMap::default(),
-            buckets: Vec::new(),
-            llc_ranges: RangeList::default(),
-            llc_lines: Vec::new(),
-            stats: crate::stats::CoherenceStats::default(),
-        }
-    }
-
-    /// Final state of a line already touched this phase (not in the hot
-    /// cache); `pinned` marks per-line-restore lines.
-    fn lookup(&mut self, line: CacheLineId) -> Option<(LineState, bool)> {
-        if !self.exceptions.is_empty() {
-            if let Some(&state) = self.exceptions.get(&line) {
-                return Some((state, true));
-            }
-        }
-        for (state, ranges) in &mut self.buckets {
-            if ranges.contains(line.0) {
-                return Some((*state, false));
-            }
-        }
-        None
-    }
-
-    /// Records a line's final-so-far state after it leaves the hot cache.
-    fn deposit(&mut self, line: CacheLineId, state: LineState, pinned: bool) {
-        if pinned {
-            self.exceptions.insert(line, state);
-            return;
-        }
-        for (bucket_state, ranges) in &mut self.buckets {
-            if ranges.contains(line.0) {
-                if *bucket_state != state {
-                    // Diverged from its run: shadow the stale range entry.
-                    self.exceptions.insert(line, state);
-                }
-                return;
-            }
-        }
-        let bucket = match self
-            .buckets
-            .iter_mut()
-            .position(|(bucket_state, _)| *bucket_state == state)
-        {
-            Some(idx) => &mut self.buckets[idx].1,
-            None => {
-                self.buckets.push((state, RangeList::default()));
-                &mut self.buckets.last_mut().expect("just pushed").1
-            }
-        };
-        if bucket.fragments() >= FRAG_CAP {
-            self.exceptions.insert(line, state);
-        } else {
-            bucket.insert(line.0);
-        }
-    }
-
     /// Records LLC residency.
     fn llc_insert(&mut self, line: CacheLineId) {
         if self.llc_ranges.fragments() >= FRAG_CAP {
@@ -387,54 +377,30 @@ impl PrivateSim {
         write: bool,
         sequential: bool,
     ) -> (AccessOutcome, Cycles) {
-        let way = (line.0 as usize) & (HOT_WAYS - 1);
-        let (prev, pinned) = if self.hot[way].0 == line {
-            let prev = self.hot[way].1;
+        let cell = self.lines.cell(line);
+        let (prev, pinned) = match cell.state {
             // The overwhelmingly common case: the line is already owned.
-            let owned_hit = match prev {
-                LineState::Modified(owner) => owner == core,
-                LineState::Exclusive(owner) if !write => owner == core,
-                LineState::Exclusive(owner) if owner == core => {
-                    self.hot[way].1 = LineState::Modified(core);
-                    true
-                }
-                _ => false,
-            };
-            if owned_hit {
+            Some(LineState::Modified(owner)) if owner == core => {
                 self.stats.record(AccessOutcome::L1Hit);
                 return (AccessOutcome::L1Hit, latency.l1_hit);
             }
-            (Some(prev), self.hot[way].2)
-        } else {
-            // Promote into the hot cache, depositing the evicted line.
-            let seeded = match self.lookup(line) {
-                Some((state, pinned)) => (Some(state), pinned),
-                None => directory.seed_of(line),
-            };
-            if self.hot[way].0 != NO_LINE {
-                let (old_line, old_state, old_pinned) = self.hot[way];
-                self.deposit(old_line, old_state, old_pinned);
+            Some(LineState::Exclusive(owner)) if owner == core => {
+                if write {
+                    cell.state = Some(LineState::Modified(core));
+                }
+                self.stats.record(AccessOutcome::L1Hit);
+                return (AccessOutcome::L1Hit, latency.l1_hit);
             }
-            self.hot[way] = (
-                line,
-                seeded.0.unwrap_or(LineState::Exclusive(core)),
-                seeded.1,
-            );
-            seeded
+            Some(state) => (Some(state), cell.pinned),
+            None => directory.seed_of(line),
         };
         // `in_llc` only matters for cold lines.
         let in_llc = prev.is_none() && directory.llc_resident(line);
-        let t = transition(
-            prev,
-            in_llc,
-            core,
-            if write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-        );
-        self.hot[way] = (line, t.state, pinned);
+        let t = transition(prev, in_llc, core, access_kind(write));
+        *cell = Cell {
+            state: Some(t.state),
+            pinned,
+        };
         if t.llc_insert {
             self.llc_insert(line);
         }
@@ -448,22 +414,21 @@ impl PrivateSim {
         (outcome, latency.cost(outcome))
     }
 
-    /// Folds every completed line back into the shared directory: uniform
-    /// runs as extent restores, exceptions per line (after the ranges, so
-    /// their per-line entries shadow any stale range membership).
-    fn write_back(mut self, directory: &mut Directory) {
-        for (line, state, pinned) in self.hot {
-            if line != NO_LINE {
-                self.deposit(line, state, pinned);
+    /// Folds every touched line back into the shared directory, walking
+    /// the table in line order: each run of consecutive unpinned lines in
+    /// one state as one extent restore, pinned lines per line (their
+    /// per-line entries would shadow an extent).
+    fn write_back(self, directory: &mut Directory) {
+        let mut runs: Vec<(u64, u64, LineState)> = Vec::new();
+        for (line, state, pinned) in self.lines.into_lines() {
+            match runs.last_mut() {
+                _ if pinned => directory.restore_line_state(CacheLineId(line), state),
+                Some((_, end, run_state)) if *end == line && *run_state == state => *end += 1,
+                _ => runs.push((line, line + 1, state)),
             }
         }
-        for (state, ranges) in &self.buckets {
-            for (start, end) in ranges.iter() {
-                directory.restore_extent(start, end, *state);
-            }
-        }
-        for (&line, &state) in &self.exceptions {
-            directory.restore_line_state(line, state);
+        for (start, end, state) in runs {
+            directory.restore_extent(start, end, state);
         }
         for (start, end) in self.llc_ranges.iter() {
             directory.llc_insert_range(start, end);
@@ -768,37 +733,39 @@ pub(crate) fn run_phase_sharded(
 
 /// Classifies a parallel phase's lines from its members' footprints.
 /// Streams that declare one skip materialisation entirely; the rest are
-/// drained into a trace whose touched lines coalesce into exact extents.
+/// drained (on host threads only when there are any) into a trace whose
+/// touched lines coalesce into exact extents.
 fn classify(
     streams: Vec<Box<dyn AccessStream>>,
     line_size: u64,
     shards: usize,
 ) -> (Vec<OpFeed>, ClassTable) {
     let footprints: Vec<Footprint> = streams.iter().map(|s| s.footprint()).collect();
-    let feeds: Vec<OpFeed> = parallel_map(
-        streams.into_iter().zip(&footprints).collect(),
-        shards,
-        &|_slot, (stream, footprint)| match footprint {
-            Footprint::Bounded(_) => OpFeed::Stream {
-                stream,
-                trailing: 0,
-            },
-            Footprint::Unknown => OpFeed::Mat(materialize(stream, line_size), 0),
-        },
-    );
-    let per_worker_extents: Vec<Vec<LineExtent>> = feeds
-        .iter()
-        .zip(&footprints)
-        .map(|(feed, footprint)| match (feed, footprint) {
-            (_, Footprint::Bounded(extents)) => byte_to_line_extents(extents, line_size),
-            (OpFeed::Mat(mat, _), _) => extents_from_touched(&mat.touched),
-            (OpFeed::Stream { .. }, Footprint::Unknown) => {
-                unreachable!("unhinted stream materialised")
+    let (unhinted, hinted): (Vec<_>, Vec<_>) =
+        (streams.into_iter().zip(&footprints)).partition(|(_, f)| matches!(f, Footprint::Unknown));
+    let mut mats = parallel_map(unhinted, shards, &|_, (stream, _)| {
+        materialize(stream, line_size)
+    })
+    .into_iter();
+    let mut hinted = hinted.into_iter();
+    let (feeds, per_worker_extents): (Vec<OpFeed>, Vec<Vec<LineExtent>>) = (footprints.iter())
+        .map(|footprint| match footprint {
+            Footprint::Bounded(extents) => {
+                let stream = hinted.next().expect("one stream per footprint").0;
+                let feed = OpFeed::Stream {
+                    stream,
+                    trailing: 0,
+                };
+                (feed, byte_to_line_extents(extents, line_size))
+            }
+            Footprint::Unknown => {
+                let mat = mats.next().expect("one trace per unhinted stream");
+                let extents = extents_from_touched(&mat.touched);
+                (OpFeed::Mat(mat, 0), extents)
             }
         })
-        .collect();
-    let table = ClassTable::build(&per_worker_extents);
-    (feeds, table)
+        .unzip();
+    (feeds, ClassTable::build(&per_worker_extents))
 }
 
 /// Converts a stream's byte-extent footprint to line extents, merging
@@ -843,6 +810,7 @@ fn byte_to_line_extents(
 /// so nearly every access hits the cache.
 fn materialize(mut stream: Box<dyn AccessStream>, line_size: u64) -> Mat {
     const CACHE_WAYS: usize = 8;
+    const NO_LINE: CacheLineId = CacheLineId(u64::MAX);
     let mut accesses = Vec::new();
     let mut work: u64 = 0;
     let mut touched: FastMap<CacheLineId, bool> = FastMap::default();
@@ -901,16 +869,19 @@ fn precompute_worker(
     let mut runs: Vec<HitRun> = Vec::new();
     let mut lead: Cycles = 0;
     let (mut instructions, mut reads, mut writes) = counts;
-    let mut sim = PrivateSim::new(core);
+    let mut sim = PrivateSim::default();
     let cpi = latency.cycles_per_instruction;
     let mut folded = 0u64;
     let mut violations = 0u64;
     // `last.0 + 1` of the previously touched line; u64::MAX when none.
     let mut next_sequential: u64 = last_line.map_or(u64::MAX, |l| l.0.wrapping_add(1));
     let mut final_line = last_line;
-    // Cached classified extent (the extent table's hot path).
+    // The current and previous classified extents (the extent table's hot
+    // path): loops that read one extent and write another stay off the
+    // binary search.
     let extents = table.extents();
-    let (mut cur_start, mut cur_end, mut cur_class) = (1u64, 0u64, ExtClass::WriteShared);
+    let mut cur = (1u64, 0u64, ExtClass::WriteShared);
+    let mut prev = cur;
     // Read-shared lines this worker has first-touched.
     let mut rs_touched: RangeList = RangeList::default();
     let mut rs_touched_spill: FastSet<CacheLineId> = FastSet::default();
@@ -988,23 +959,29 @@ fn precompute_worker(
             reads += 1;
         }
 
-        if !(cur_start <= line.0 && line.0 < cur_end) {
-            match table.find(line) {
-                Some(idx) => {
-                    let extent = extents[idx];
-                    (cur_start, cur_end, cur_class) = (extent.start, extent.end, extent.class);
-                }
-                None => {
-                    // Contract violation: the line lies outside every
-                    // declared footprint, so some stream's
-                    // Footprint::Bounded under-approximated its accesses.
-                    // Treat the line as write-shared — the fully-ordered
-                    // directory path, correct for any sharing pattern —
-                    // and count it so the lint can surface the workload
-                    // bug instead of the run dying here.
-                    (cur_start, cur_end, cur_class) = (line.0, line.0 + 1, ExtClass::WriteShared);
-                    violations += 1;
-                }
+        if !(cur.0 <= line.0 && line.0 < cur.1) {
+            if prev.0 <= line.0 && line.0 < prev.1 {
+                std::mem::swap(&mut cur, &mut prev);
+            } else {
+                prev = cur;
+                cur = match table.find(line) {
+                    Some(idx) => {
+                        let extent = extents[idx];
+                        (extent.start, extent.end, extent.class)
+                    }
+                    None => {
+                        // Contract violation: the line lies outside every
+                        // declared footprint, so some stream's
+                        // Footprint::Bounded under-approximated its
+                        // accesses. Treat the line as write-shared — the
+                        // fully-ordered directory path, correct for any
+                        // sharing pattern — and count it so the lint can
+                        // surface the workload bug instead of the run
+                        // dying here.
+                        violations += 1;
+                        (line.0, line.0 + 1, ExtClass::WriteShared)
+                    }
+                };
             }
         }
         // Per-access contract checks the extent cache cannot express: a
@@ -1012,7 +989,7 @@ fn precompute_worker(
         // line every footprint declared read-only. Both mean some footprint
         // under-declared this worker's traffic; demote the access to the
         // write-shared path and count the violation.
-        let class = match cur_class {
+        let class = match cur.2 {
             ExtClass::Private(owner) if owner != me => {
                 violations += 1;
                 ExtClass::WriteShared
@@ -1582,4 +1559,87 @@ fn parallel_map<T: Send, R: Send>(
     out.into_iter()
         .map(|r| r.expect("every index produced"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coherence::SharerSet;
+
+    const C0: CoreId = CoreId(0);
+
+    /// Runs core 0's accesses over a directory holding one per-line entry
+    /// (line 305, shared by cores 1 and 2).
+    fn simulate(directory: &Directory) -> PrivateSim {
+        let latency = LatencyModel::default();
+        let mut sim = PrivateSim::default();
+        let writes = (250..262).chain(300..310).chain(400..408).chain(504..508);
+        for line in writes.filter(|&line| line != 403) {
+            sim.access(directory, &latency, C0, CacheLineId(line), true, false);
+        }
+        for line in 500..504 {
+            sim.access(directory, &latency, C0, CacheLineId(line), false, false);
+        }
+        sim
+    }
+
+    fn seeded() -> Directory {
+        let mut directory = Directory::default();
+        let mut sharers = SharerSet::singleton(CoreId(1));
+        sharers.insert(CoreId(2));
+        directory.restore_line_state(CacheLineId(305), LineState::Shared(sharers));
+        directory
+    }
+
+    fn digest(directory: &Directory) -> u64 {
+        let mut hash = cheetah_obs::Fnv64::new();
+        directory.witness_digest(&mut hash);
+        hash.finish()
+    }
+
+    #[test]
+    fn write_back_folds_runs_and_restores_pinned_lines_per_line() {
+        let mut directory = seeded();
+        let sim = simulate(&directory);
+        sim.write_back(&mut directory);
+        let (m0, e0) = (LineState::Modified(C0), LineState::Exclusive(C0));
+        assert_eq!(
+            directory.overlay_ranges(),
+            &[
+                // Crosses the page boundary at line 256: one extent.
+                (250, 262, m0),
+                // The pinned line 305 splits its run ...
+                (300, 305, m0),
+                (306, 310, m0),
+                // ... as does the untouched line 403 ...
+                (400, 403, m0),
+                (404, 408, m0),
+                // ... and a change of state.
+                (500, 504, e0),
+                (504, 508, m0),
+            ]
+        );
+        assert_eq!(directory.seed_of(CacheLineId(305)), (Some(m0), true));
+
+        // Reference: every touched line restored per line.
+        let mut reference = seeded();
+        let PrivateSim {
+            lines,
+            llc_ranges,
+            llc_lines,
+            stats,
+        } = simulate(&reference);
+        for (line, state, _) in lines.into_lines() {
+            reference.restore_line_state(CacheLineId(line), state);
+        }
+        for line in llc_ranges.iter().flat_map(|(start, end)| start..end) {
+            reference.llc_insert(CacheLineId(line));
+        }
+        for line in llc_lines {
+            reference.llc_insert(line);
+        }
+        reference.absorb_stats(&stats);
+        assert!(reference.overlay_ranges().is_empty());
+        assert_eq!(digest(&directory), digest(&reference));
+    }
 }

@@ -12,6 +12,12 @@
 //!     loop inside an otherwise sharded run and still match;
 //! (g) serial phases that follow parallel phases continue the main
 //!     thread's instruction count and sampling state mid-stream.
+//!
+//! The random shapes also cover a worker that revisits over a thousand
+//! private lines in scrambled order with mixed final states, and a line
+//! that is write-shared in one parallel phase and private to one worker
+//! in the next (seeded from a per-line directory entry, so its write-back
+//! must not fold into a range restore).
 
 use cheetah_sim::{
     AccessKind, AccessRecord, AccessStream, Addr, CountingObserver, Cycles, ExecObserver,
@@ -41,6 +47,13 @@ impl<S: AccessStream> AccessStream for HiddenFootprint<S> {
 /// read-only shared table, a falsely-shared line of adjacent words, and a
 /// sequential sweep (exercising the prefetch path) — optionally each
 /// followed by a serial phase that revisits the workers' lines.
+///
+/// `scatter` adds a worker per parallel phase that sweeps [`SCATTER_LINES`]
+/// private lines twice in scrambled order, writing every other line on
+/// the first sweep; the second phase's sweep revisits the first's lines
+/// from another core. `handoff` makes a few lines write-shared in the
+/// first parallel phase and private to worker 0 in the second; the serial
+/// tails revisit both regions.
 #[derive(Debug, Clone)]
 struct Shape {
     threads: u64,
@@ -51,7 +64,14 @@ struct Shape {
     second_phase: bool,
     serial_init: bool,
     serial_after: bool,
+    scatter: bool,
+    handoff: bool,
 }
+
+/// Lines the `scatter` worker sweeps (prime, so the stride permutes them).
+const SCATTER_LINES: u64 = 1201;
+/// Lines of the `handoff` region; the middle one is the write-shared line.
+const HANDOFF_LINES: u64 = 5;
 
 fn build_program(shape: &Shape) -> Program {
     build_program_with(shape, false)
@@ -68,6 +88,8 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
         second_phase,
         serial_init,
         serial_after,
+        scatter,
+        handoff,
         ..
     } = *shape;
     let shared_line = Addr(0x1000);
@@ -76,6 +98,9 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
     let sweep_base = Addr(0x900_000);
     let stream_base = Addr(0xA00_000);
     let tail_base = Addr(0xB00_000);
+    let scatter_base = Addr(0xC00_000);
+    let handoff_base = Addr(0x0100_0000);
+    let handoff_mid = handoff_base.offset(HANDOFF_LINES / 2 * 64);
 
     fn spec(name: String, stream: impl AccessStream + 'static, hide: bool) -> ThreadSpec {
         if hide {
@@ -88,7 +113,7 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
     let make_workers = |phase: u64| -> Vec<ThreadSpec> {
         let mut workers: Vec<ThreadSpec> = (0..threads)
             .map(|t| {
-                let body = vec![
+                let mut body = vec![
                     // Contended: adjacent words of one line (false sharing).
                     Op::Write(shared_line.offset(t * 4)),
                     Op::Read(shared_line.offset(((t + 1) % threads) * 4)),
@@ -103,6 +128,18 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
                     Op::Read(sweep_base.offset(t * 4096 + (phase % 7) * 64 + 64)),
                     Op::Work(work),
                 ];
+                if handoff {
+                    if phase == 0 {
+                        // Write-shared: every worker writes its own word of
+                        // the region's middle line.
+                        body.push(Op::Write(handoff_mid.offset(t * 4)));
+                    } else if t == 0 {
+                        // Private to worker 0, middle line included.
+                        body.extend(
+                            (0..HANDOFF_LINES).map(|l| Op::Write(handoff_base.offset(l * 64 + 8))),
+                        );
+                    }
+                }
                 spec(
                     format!("w{phase}-{t}"),
                     LoopStream::new(body, iterations + t),
@@ -130,6 +167,29 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
                 .map(move |i| Op::Read(stream_base.offset(0x80_000 + phase * 0x10_000 + i * 16))),
         );
         workers.push(ThreadSpec::new(format!("unhinted{phase}"), unhinted));
+        if scatter {
+            let mut ops = Vec::new();
+            for sweep in 0..2u64 {
+                for i in 0..SCATTER_LINES {
+                    let line = (i * 257 + sweep * 101 + phase * 31) % SCATTER_LINES;
+                    let addr = scatter_base.offset(line * 64 + (i % 8) * 8);
+                    ops.push(if sweep == 0 && line.is_multiple_of(2) {
+                        Op::Write(addr)
+                    } else {
+                        Op::Read(addr)
+                    });
+                    if i % 16 == 0 {
+                        ops.push(Op::Work(work + 1));
+                    }
+                }
+            }
+            // Slot 0 in the second phase, so it revisits from another core.
+            let slot = if phase == 0 { workers.len() } else { 0 };
+            workers.insert(
+                slot,
+                spec(format!("scatter{phase}"), OpsStream::new(ops), hide),
+            );
+        }
         workers
     };
 
@@ -145,6 +205,14 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
             ));
             ops.push(Op::Read(sweep_base.offset((i % threads) * 4096 + 64)));
             ops.push(Op::Write(tail_base.offset(phase * 0x1000 + i * 8)));
+            if scatter {
+                ops.push(Op::Read(
+                    scatter_base.offset((i * 37 + phase) % SCATTER_LINES * 64),
+                ));
+            }
+            if handoff {
+                ops.push(Op::Read(handoff_base.offset(i % HANDOFF_LINES * 64)));
+            }
             ops.push(Op::Work(work + 1));
         }
         spec(format!("tail{phase}"), OpsStream::new(ops), hide)
@@ -260,17 +328,19 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
             proptest::bool::ANY,
             proptest::bool::ANY,
         ),
+        (proptest::bool::ANY, proptest::bool::ANY),
     )
         .prop_map(
             |(
                 (threads, extra_cores, iterations),
                 (private_stride, work),
                 (second_phase, serial_init, serial_after),
+                (scatter, handoff),
             )| {
                 Shape {
                     threads,
-                    // Room for the loop workers plus the two streaming
-                    // workers each phase appends.
+                    // Room for the loop workers plus the streaming (and
+                    // scatter) workers each phase adds.
                     cores: threads as u32 + 3 + extra_cores,
                     iterations,
                     private_stride,
@@ -278,6 +348,8 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
                     second_phase,
                     serial_init,
                     serial_after,
+                    scatter,
+                    handoff,
                 }
             },
         )
@@ -373,6 +445,8 @@ proptest! {
             second_phase: true,
             serial_init: true,
             serial_after: false,
+            scatter: false,
+            handoff: false,
         };
         let extent_report = run(&shape, shards, &mut NullObserver);
         let fallback_report = run_hidden(&shape, shards, &mut NullObserver);
@@ -398,6 +472,8 @@ proptest! {
             second_phase: true,
             serial_init: true,
             serial_after: false,
+            scatter: false,
+            handoff: false,
         };
         let baseline = run_reference(&shape, &mut NullObserver);
         let sharded = run(&shape, shards, &mut NullObserver);
@@ -421,6 +497,8 @@ fn serial_phases_after_parallel_phases_identical() {
         second_phase: true,
         serial_init: true,
         serial_after: true,
+        scatter: true,
+        handoff: true,
     };
     let mut reference_rec = Recorder::default();
     let reference = run_reference(&shape, &mut reference_rec);
@@ -481,6 +559,8 @@ fn counting_observer_counts_match() {
         second_phase: true,
         serial_init: true,
         serial_after: false,
+        scatter: false,
+        handoff: false,
     };
     let mut classic = CountingObserver::default();
     let baseline = run_reference(&shape, &mut classic);
@@ -507,6 +587,8 @@ fn auto_shards_identical() {
         second_phase: false,
         serial_init: true,
         serial_after: false,
+        scatter: false,
+        handoff: false,
     };
     let baseline = run_reference(&shape, &mut NullObserver);
     let auto = run(&shape, 0, &mut NullObserver);
@@ -628,6 +710,8 @@ fn surfaced_records_have_expected_kinds() {
         second_phase: false,
         serial_init: false,
         serial_after: false,
+        scatter: false,
+        handoff: false,
     };
     let mut rec = Recorder::default();
     run(&shape, 3, &mut rec);
