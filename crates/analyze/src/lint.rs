@@ -5,7 +5,8 @@
 //! classification — is only as sound as the workload's declarations. A
 //! stream whose [`Footprint`] misses executed accesses used to surface as
 //! a silent per-line fallback deep inside the sharded simulator; an
-//! `Unknown` footprint quietly disables the static analysis; overlapping
+//! `Unknown` footprint quietly disables the static analysis and makes the
+//! sharded executor run its whole phase fully ordered; overlapping
 //! object extents make address attribution ambiguous. `--lint` turns each
 //! of these into a structured [`LintDiagnostic`] that CI can gate on.
 //!
@@ -28,7 +29,8 @@ use cheetah_sim::{Footprint, Machine, MachineConfig, ObsHandle, Phase, Program};
 pub enum LintDiagnostic {
     /// A parallel worker's stream declares [`Footprint::Unknown`]: the
     /// static analysis degrades to "everything is a candidate" and the
-    /// sharded executor falls back to per-touched-line classification.
+    /// sharded executor runs the whole phase fully ordered (every access
+    /// a merge event, nothing simulated per worker).
     UnknownFootprint {
         /// Phase index the worker runs in.
         phase: usize,
@@ -66,7 +68,8 @@ impl std::fmt::Display for LintDiagnostic {
             LintDiagnostic::UnknownFootprint { phase, thread } => write!(
                 f,
                 "unknown footprint: worker '{thread}' of phase {phase} declares \
-                 Footprint::Unknown (static analysis degrades to all-candidate)"
+                 Footprint::Unknown (static analysis degrades to all-candidate, and \
+                 the sharded executor runs the whole phase fully ordered)"
             ),
             LintDiagnostic::FootprintViolations { count } => write!(
                 f,

@@ -19,9 +19,8 @@
 //! order-dependent events (`ordered_events`) than the recorded baseline
 //! allows, and must not run slower than the reference per-op loop
 //! (speedup below 1 beyond the tolerance). Rows labelled
-//! `"engine": "reference"` — and unlabelled single-shard rows, which older
-//! baselines recorded from the per-op loop — are the speedup baseline, not
-//! gated cells. Event counts are deterministic, so their tolerance is a
+//! `"engine": "reference"` are the speedup baseline, not gated cells.
+//! Event counts are deterministic, so their tolerance is a
 //! fixed 5%-of-baseline slack for benign reclassifications; the
 //! wall-clock tolerance is `--tolerance-points` interpreted as percent.
 //!
@@ -34,7 +33,9 @@
 //! absorbs deliberate re-tuning, not run-to-run noise.
 //!
 //! Every file is read with the strict JSON parser of `cheetah-obs`, so
-//! records may be laid out on one line or pretty-printed. Exit codes: 0
+//! records may be laid out on one line or pretty-printed. Every field a
+//! gate reads is required: a record missing one makes its file
+//! unreadable rather than skipping or weakening the cell. Exit codes: 0
 //! within limits, 1 on a regression or a missing cell, 2 on bad usage or
 //! an unreadable file.
 
@@ -84,29 +85,18 @@ fn flag(record: &Value, name: &str) -> bool {
 fn parse_repair(doc: &Value) -> Result<Cells<f64>, String> {
     let mut cells = Cells::new();
     for record in array(doc, "results")? {
-        let period = record
-            .get("period")
-            .and_then(Value::as_f64)
-            .map_or("-".to_string(), |p| p.to_string());
-        let instance = record
-            .get("instance")
-            .and_then(Value::as_str)
-            .unwrap_or("-");
-        let error = num(record, "prediction_error")?;
-        // Gate on the cell's worst convergence step when recorded (older
-        // baselines carry only the first-fix error): a multi-iteration
+        // Gate on the cell's worst convergence step too: a multi-iteration
         // cell must not regress in a later step unnoticed.
-        let worst = record
-            .get("worst_step_error")
-            .and_then(Value::as_f64)
-            .unwrap_or(error);
+        let error = num(record, "prediction_error")?.max(num(record, "worst_step_error")?);
         cells.insert(
             format!(
-                "{} t{} p{period} [{instance}]",
+                "{} t{} p{} [{}]",
                 text(record, "workload")?,
-                num(record, "threads")?
+                num(record, "threads")?,
+                num(record, "period")?,
+                text(record, "instance")?
             ),
-            error.max(worst),
+            error,
         );
     }
     Ok(cells)
@@ -125,16 +115,8 @@ fn parse_sim(doc: &Value) -> Result<Cells<SimCell>, String> {
     let mut cells = Cells::new();
     for record in array(doc, "results")? {
         let shards = num(record, "shards")?;
-        let sharded = match record.get("engine").and_then(Value::as_str) {
-            Some(engine) => engine == "sharded",
-            None => shards >= 2.0,
-        };
-        // Pre-extent baselines carry no event counts; skip them so the
-        // gate starts enforcing once a counted baseline is committed.
-        let Some(ordered_events) = record.get("ordered_events").and_then(Value::as_f64) else {
-            continue;
-        };
-        if !sharded {
+        let ordered_events = num(record, "ordered_events")?;
+        if text(record, "engine")? != "sharded" {
             continue;
         }
         cells.insert(
@@ -456,5 +438,60 @@ mod tests {
             cells.get("linear_regression t2 p128 [linear_regression-pthread.c: 139]"),
             Some(&0.12)
         );
+    }
+
+    /// One-record BENCH document of `benchmark` whose record lacks `drop`.
+    fn doc_without(benchmark: &str, record: &str, drop: &str) -> Value {
+        let fields: Vec<&str> = record
+            .split(", ")
+            .filter(|field| !field.starts_with(&format!("\"{drop}\"")))
+            .collect();
+        json::parse(&format!(
+            r#"{{"benchmark": "{benchmark}", "results": [{{{}}}]}}"#,
+            fields.join(", ")
+        ))
+        .expect("valid JSON")
+    }
+
+    const SIM_RECORD: &str = r#""workload": "streamcluster", "threads": 4, "engine": "sharded", "shards": 2, "speedup": 1.5, "ordered_events": 900"#;
+
+    const REPAIR_RECORD: &str = r#""workload": "histogram", "threads": 4, "period": 128, "instance": "histogram.c: 12", "prediction_error": 0.05, "worst_step_error": 0.07"#;
+
+    #[test]
+    fn complete_records_parse() {
+        let sim = parse_sim(&doc_without("sim", SIM_RECORD, "none")).expect("sim cells");
+        assert_eq!(
+            sim.get("streamcluster t4 s2").map(|c| c.ordered_events),
+            Some(900.0)
+        );
+        let repair =
+            parse_repair(&doc_without("repair", REPAIR_RECORD, "none")).expect("repair cells");
+        assert_eq!(
+            repair.get("histogram t4 p128 [histogram.c: 12]"),
+            Some(&0.07)
+        );
+    }
+
+    #[test]
+    fn sim_record_without_ordered_events_is_rejected() {
+        let err = parse_sim(&doc_without("sim", SIM_RECORD, "ordered_events"))
+            .expect_err("a sim row without ordered_events must not parse");
+        assert!(err.contains("ordered_events"), "{err}");
+        // A row without an engine label is rejected too, not guessed from
+        // its shard count.
+        assert!(parse_sim(&doc_without("sim", SIM_RECORD, "engine")).is_err());
+    }
+
+    #[test]
+    fn repair_record_without_worst_step_error_is_rejected() {
+        let err = parse_repair(&doc_without("repair", REPAIR_RECORD, "worst_step_error"))
+            .expect_err("a repair row without worst_step_error must not parse");
+        assert!(err.contains("worst_step_error"), "{err}");
+        for field in ["period", "instance"] {
+            assert!(
+                parse_repair(&doc_without("repair", REPAIR_RECORD, field)).is_err(),
+                "a repair row without {field} must not parse"
+            );
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! # cheetah-bench — experiment harnesses
 //!
-//! One binary per table/figure of the paper (see DESIGN.md for the index):
+//! One binary per table/figure of the paper, plus the harnesses that
+//! write the committed `BENCH_*.json` baselines and the gate that compares
+//! them:
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -8,10 +10,14 @@
 //! | `fig4_overhead` | Fig. 4 — Cheetah's runtime overhead over 17 applications |
 //! | `fig7_missed` | Fig. 7 — impact of the minor instances Cheetah misses |
 //! | `table1_precision` | Table 1 — predicted vs. real improvement |
+//! | `table2_prediction` | Table 2 as a matrix — predicted vs. measured repair speedup per workload × threads × period → `BENCH_repair.json` |
 //! | `ablation_table` | two-entry table vs. ownership bitmap (§2.3) |
 //! | `ablation_sampling` | sampling-period sweep: recall vs. overhead (§2.1, §5) |
 //! | `ablation_baseline` | Cheetah vs. Predator-like full instrumentation (§6.1) |
-//! | `schedule_explore` | schedule-space exploration: hidden-FS detection over perturbed interleavings |
+//! | `schedule_explore` | schedule-space exploration: hidden-FS detection over perturbed interleavings → `BENCH_schedule.json` |
+//! | `robustness_sweep` | fault injection and bounded-memory tables: the graceful-degradation guarantees → `BENCH_robust.json` |
+//! | `sim_throughput` | sharded executor vs. the reference per-op loop: wall clock and event counts → `BENCH_sim.json` |
+//! | `bench_compare` | regression gate: a fresh `BENCH_repair/sim/robust.json` against the committed baseline |
 //!
 //! `cargo bench` additionally runs criterion micro-benchmarks of the hot
 //! paths (table update, directory access, sampling decision, detector

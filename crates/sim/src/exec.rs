@@ -1,28 +1,25 @@
 //! The execution engine: runs a [`Program`] on a simulated machine.
 //!
-//! Every phase whose threads fit on distinct cores runs on the sharded
-//! executor ([`crate::shard`]). This module keeps the per-op
-//! discrete-event loop in two roles: it runs oversubscribed phases (more
-//! workers than cores — the only path that models two threads sharing one
-//! private cache), and it is the reference oracle behind
-//! [`Machine::run_reference`], against which the sharded executor is
-//! proven bit-identical. The loop interleaves threads on per-thread
-//! virtual clocks, so memory accesses reach the coherence [`Directory`]
-//! in global time order and write ping-pong between cores unfolds exactly
-//! as on a real machine. Both engines are fully deterministic: identical
+//! This module walks the program phase by phase: it binds threads to
+//! cores, spawns each parallel phase's workers on the main thread, joins
+//! them, and assembles the [`RunReport`]. Every phase, serial or parallel,
+//! runs on the sharded executor ([`crate::shard`]) through one entry
+//! point, whatever its shape: a parallel phase the executor cannot split
+//! (workers sharing a core, or a stream without a declared footprint) runs
+//! there fully ordered. [`Machine::run_reference`] runs the same walk on
+//! the reference per-op loop instead, the oracle the sharded executor is
+//! proven bit-identical against. Runs are fully deterministic: identical
 //! programs produce identical reports.
 
 use crate::coherence::{Directory, MAX_CORES};
 use crate::latency::LatencyModel;
 use crate::metrics::SimCounters;
-use crate::observer::{AccessRecord, ExecObserver};
+use crate::observer::ExecObserver;
 use crate::program::{AccessStream, Op, Phase, Program};
 use crate::report::{PhaseReport, RunReport, ThreadReport};
 use crate::schedule::SchedulePolicy;
 use crate::types::{AccessKind, CoreId, Cycles, PhaseKind, ThreadId};
 use cheetah_obs::{Fnv64, ObsHandle};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -44,13 +41,12 @@ pub struct MachineConfig {
     /// Main-thread cycles consumed by each `pthread_create`.
     pub thread_spawn_cost: Cycles,
     /// Host threads the sharded executor fans each phase's per-worker
-    /// precompute pass (and the draining of streams without a declared
-    /// footprint) out over, the `--shards N` knob of the bench harnesses;
-    /// a serial phase's one member always runs on the calling thread. `0`
-    /// means "auto" (the host's available parallelism). It selects no
-    /// engine: every value runs the same
-    /// sharded executor (see [`crate::shard`]), and reports are
-    /// bit-identical for every value; only wall-clock time changes.
+    /// precompute pass out over, the `--shards N` knob of the bench
+    /// harnesses; a serial phase's one member always runs on the calling
+    /// thread. `0` means "auto" (the host's available parallelism). This is
+    /// all it sets: every value runs the same sharded executor (see
+    /// [`crate::shard`]) on every phase, and reports are bit-identical for
+    /// every value; only wall-clock time changes.
     pub shards: u32,
     /// Telemetry registry the run reports into: execution counters
     /// ([`crate::metrics`]), per-phase spans and, when [`witness`] is set,
@@ -80,10 +76,10 @@ pub struct MachineConfig {
     /// ([`Machine::run_reference`]) at every shard count. A perturbed
     /// policy replays a different feasible interleaving of the same
     /// per-worker event streams, deterministic given the policy's seed
-    /// (see [`crate::schedule`]). Serial phases have a single member and
+    /// (see [`crate::schedule`]); it applies to every parallel phase,
+    /// fully ordered ones included. Serial phases have a single member and
     /// nothing to reorder, and the per-op loop has no residue to reorder,
-    /// so serial phases, oversubscribed phases (more workers than cores)
-    /// and reference runs ignore the policy.
+    /// so serial phases and reference runs ignore the policy.
     pub schedule: SchedulePolicy,
 }
 
@@ -337,7 +333,6 @@ struct Execution<'a> {
     config: &'a MachineConfig,
     observer: &'a mut dyn ExecObserver,
     directory: Directory,
-    latency: LatencyModel,
     /// Resolved precompute host-thread count.
     shards: u32,
     /// Run every phase on the per-op loop ([`Machine::run_reference`]).
@@ -355,7 +350,6 @@ impl<'a> Execution<'a> {
             config,
             observer,
             directory: Directory::new(config.latency.clone()),
-            latency: config.latency.clone(),
             shards: config.resolved_shards(),
             reference,
             counters: SimCounters::of(&config.obs),
@@ -442,19 +436,7 @@ impl<'a> Execution<'a> {
                     } else {
                         stream
                     };
-                    if self.reference {
-                        self.run_serial(&mut main, index);
-                    } else {
-                        crate::shard::run_phase_sharded(
-                            self.config,
-                            &mut self.directory,
-                            self.observer,
-                            std::slice::from_mut(&mut main),
-                            index,
-                            kind,
-                            self.shards as usize,
-                        );
-                    }
+                    self.run_phase(std::slice::from_mut(&mut main), index, kind);
                     phase_reports.push(PhaseReport {
                         index,
                         kind,
@@ -490,26 +472,7 @@ impl<'a> Execution<'a> {
                             stream,
                         });
                     }
-                    // Sharded execution requires each phase member to own a
-                    // distinct core: workers sharing a core interleave
-                    // through one private cache, which only the per-op
-                    // loop models. Slot-to-core binding is
-                    // `(1 + slot) % num_cores`, so cores are distinct
-                    // exactly when the phase has at most `num_cores`
-                    // workers.
-                    let ends = if self.reference || workers.len() as u32 > self.config.num_cores {
-                        self.run_parallel(&mut workers, index)
-                    } else {
-                        crate::shard::run_phase_sharded(
-                            self.config,
-                            &mut self.directory,
-                            self.observer,
-                            &mut workers,
-                            index,
-                            kind,
-                            self.shards as usize,
-                        )
-                    };
+                    let ends = self.run_phase(&mut workers, index, kind);
                     let mut phase_threads = Vec::with_capacity(workers.len());
                     let mut phase_end = main.clock;
                     for (worker, end) in workers.into_iter().zip(ends) {
@@ -573,99 +536,29 @@ impl<'a> Execution<'a> {
         }
     }
 
-    /// Runs the main thread's stream to exhaustion (serial phase). Every
-    /// access is counted as merged: the per-op loop orders each one.
-    fn run_serial(&mut self, main: &mut ThreadCtx, phase_index: u32) {
-        let before = main.reads + main.writes;
-        while let Some(op) = main.stream.next_op() {
-            self.step(main, op, phase_index, PhaseKind::Serial);
-        }
-        self.counters
-            .count_merged(main.reads + main.writes - before);
-    }
-
-    /// Runs all workers of a parallel phase to completion; returns each
-    /// worker's end time, in the same order as `workers`.
-    fn run_parallel(&mut self, workers: &mut [ThreadCtx], phase_index: u32) -> Vec<Cycles> {
-        let mut ends = vec![0; workers.len()];
-        // Min-heap on (clock, slot); slot as tiebreak keeps runs
-        // deterministic when clocks collide.
-        let mut heap: BinaryHeap<Reverse<(Cycles, usize)>> = workers
-            .iter()
-            .enumerate()
-            .map(|(slot, w)| Reverse((w.clock, slot)))
-            .collect();
-        while let Some(Reverse((_, slot))) = heap.pop() {
-            // Run this worker while no other worker could possibly issue an
-            // earlier operation (exact event ordering, amortised heap cost).
-            let horizon = heap.peek().map(|Reverse((clock, _))| *clock);
-            let finished = {
-                let worker = &mut workers[slot];
-                loop {
-                    match worker.stream.next_op() {
-                        Some(op) => {
-                            self.step(worker, op, phase_index, PhaseKind::Parallel);
-                            if let Some(h) = horizon {
-                                if worker.clock >= h {
-                                    break false;
-                                }
-                            }
-                        }
-                        None => break true,
-                    }
-                }
-            };
-            if finished {
-                let worker = &workers[slot];
-                ends[slot] = worker.clock;
-                self.observer.on_thread_exit(worker.id, worker.clock);
-            } else {
-                heap.push(Reverse((workers[slot].clock, slot)));
-            }
-        }
-        self.counters
-            .count_merged(workers.iter().map(|w| w.reads + w.writes).sum());
-        ends
-    }
-
-    /// Executes one operation on behalf of `thread`, advancing its clock.
-    fn step(&mut self, thread: &mut ThreadCtx, op: Op, phase_index: u32, phase_kind: PhaseKind) {
-        match op {
-            Op::Work(n) => {
-                thread.instructions += n;
-                thread.clock += n * self.latency.cycles_per_instruction;
-            }
-            Op::Read(addr) | Op::Write(addr) => {
-                let kind = if matches!(op, Op::Write(_)) {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                let line = addr.line(self.config.cache_line_size);
-                let result = self.directory.access(thread.core, line, kind, thread.clock);
-                let outcome = result.outcome;
-                let latency = result.latency();
-                let record = AccessRecord {
-                    thread: thread.id,
-                    core: thread.core,
-                    addr,
-                    kind,
-                    outcome,
-                    latency,
-                    start: thread.clock,
-                    instrs_before: thread.instructions,
-                    phase_index,
-                    phase_kind,
-                };
-                thread.instructions += 1;
-                match kind {
-                    AccessKind::Read => thread.reads += 1,
-                    AccessKind::Write => thread.writes += 1,
-                }
-                thread.clock += latency;
-                let perturbation = self.observer.on_access(&record);
-                thread.clock += perturbation;
-            }
+    /// Runs one phase's members to completion — on the sharded executor,
+    /// or on the reference per-op loop for [`Machine::run_reference`] —
+    /// and returns each member's end time, in the same order as `members`.
+    fn run_phase(&mut self, members: &mut [ThreadCtx], index: u32, kind: PhaseKind) -> Vec<Cycles> {
+        if self.reference {
+            crate::reference::run_phase(
+                self.config,
+                &mut self.directory,
+                self.observer,
+                members,
+                index,
+                kind,
+            )
+        } else {
+            crate::shard::run_phase_sharded(
+                self.config,
+                &mut self.directory,
+                self.observer,
+                members,
+                index,
+                kind,
+                self.shards as usize,
+            )
         }
     }
 }
@@ -673,7 +566,7 @@ impl<'a> Execution<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::{CountingObserver, NullObserver};
+    use crate::observer::{AccessRecord, CountingObserver, NullObserver};
     use crate::program::{LoopStream, OpsStream, ProgramBuilder, ThreadSpec};
     use crate::types::Addr;
 

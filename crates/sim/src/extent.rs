@@ -2,13 +2,12 @@
 //!
 //! A parallel phase's lines are classified by who touches them: private
 //! (one worker), read-shared (several workers, no writes) or write-shared.
-//! PR 3 classified per line, paying hash-map traffic proportional to the
-//! number of distinct lines — ruinous for streaming phases that touch tens
-//! of thousands of one-shot private lines. This module classifies whole
+//! Classifying per line pays hash-map traffic proportional to the number
+//! of distinct lines — ruinous for streaming phases that touch tens of
+//! thousands of one-shot private lines. This module classifies whole
 //! **extents** instead: each worker contributes a sorted list of
-//! [`LineExtent`]s (from its stream's declared [`crate::footprint`] or, as
-//! a fallback, coalesced from its materialised touch set), and a single
-//! boundary sweep over all workers' extents produces the phase's
+//! [`LineExtent`]s (from its stream's declared [`crate::footprint`]), and
+//! a single boundary sweep over all workers' extents produces the phase's
 //! [`ClassExtent`] table. Classification cost is proportional to the
 //! number of *extents moved*, not lines touched — the cache-conscious
 //! batching argument, applied to the simulator's own bookkeeping.
@@ -54,6 +53,19 @@ pub(crate) struct ClassTable {
 }
 
 impl ClassTable {
+    /// One extent covering every line, all of `class`: a serial phase's
+    /// lines are private to its one member, a fully ordered phase's are
+    /// write-shared.
+    pub(crate) fn uniform(class: ExtClass) -> ClassTable {
+        ClassTable {
+            extents: vec![ClassExtent {
+                start: 0,
+                end: u64::MAX,
+                class,
+            }],
+        }
+    }
+
     /// Classifies the phase from every worker's extent list (sorted and
     /// disjoint per worker) via one boundary sweep.
     pub(crate) fn build(per_worker: &[Vec<LineExtent>]) -> ClassTable {
@@ -140,27 +152,6 @@ impl ClassTable {
         let idx = self.extents.partition_point(|e| e.end <= line.0);
         (idx < self.extents.len() && self.extents[idx].start <= line.0).then_some(idx)
     }
-}
-
-/// Coalesces one worker's exact per-line touch map (the materialisation
-/// fallback for streams without a declared footprint) into sorted extents.
-/// Adjacent lines merge only when their write flags agree, keeping the
-/// read/write boundary exact.
-pub(crate) fn extents_from_touched(touched: &FastMap<CacheLineId, bool>) -> Vec<LineExtent> {
-    let mut lines: Vec<(u64, bool)> = touched.iter().map(|(l, &w)| (l.0, w)).collect();
-    lines.sort_unstable();
-    let mut extents: Vec<LineExtent> = Vec::new();
-    for (line, wrote) in lines {
-        match extents.last_mut() {
-            Some(last) if last.end == line && last.wrote == wrote => last.end = line + 1,
-            _ => extents.push(LineExtent {
-                start: line,
-                end: line + 1,
-                wrote,
-            }),
-        }
-    }
-    extents
 }
 
 /// A sorted list of disjoint line-id ranges with cheap coalescing inserts;
@@ -356,17 +347,6 @@ mod tests {
         assert_eq!(table.extents().len(), 2);
         assert!(matches!(table.extents()[0].class, ExtClass::Private(0)));
         assert!(matches!(table.extents()[1].class, ExtClass::Private(1)));
-    }
-
-    #[test]
-    fn extents_from_touched_coalesces_runs() {
-        let mut touched: FastMap<CacheLineId, bool> = FastMap::default();
-        for l in 0..100u64 {
-            touched.insert(CacheLineId(l), false);
-        }
-        touched.insert(CacheLineId(200), true);
-        let extents = extents_from_touched(&touched);
-        assert_eq!(extents, vec![ext(0, 100, false), ext(200, 201, true)]);
     }
 
     #[test]

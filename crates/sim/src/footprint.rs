@@ -8,8 +8,9 @@
 //! are tiny state machines over a few contiguous slices (a per-thread input
 //! window, a scratch block, a shared table), so they can *declare* their
 //! footprint as a handful of [`ByteExtent`]s up front; the executor then
-//! classifies whole extents at once and skips the materialisation pass
-//! entirely (see [`crate::shard`]).
+//! classifies whole extents at once, before any stream is consumed (see
+//! [`crate::shard`]). A phase with an undeclared footprint is not
+//! classified at all: it runs fully ordered.
 //!
 //! ## Soundness contract
 //!
@@ -18,9 +19,11 @@
 //! write must lie in some extent with `wrote = true`. Over-approximation is
 //! safe — a line claimed but never touched at worst demotes a neighbour
 //! from "private" to "shared", which is always executed correctly, just
-//! without the fast path. Under-approximation is a contract violation and
-//! the sharded executor aborts with a panic naming the stream's worker
-//! rather than risk a silently wrong classification.
+//! without the fast path. Under-approximation is a contract violation: the
+//! sharded executor demotes each uncovered access to the fully ordered
+//! write-shared path, so the run stays deterministic and complete
+//! (best-effort for the violating workload), and counts it in [`crate::metrics::FOOTPRINT_VIOLATIONS`], which
+//! `cheetah-analyze --lint` turns into a diagnostic.
 
 use crate::types::Addr;
 
@@ -55,8 +58,7 @@ impl ByteExtent {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Footprint {
     /// The stream cannot (or does not) bound its accesses; the sharded
-    /// executor falls back to materialising the stream and classifying its
-    /// touched lines one by one.
+    /// executor runs its whole phase fully ordered.
     Unknown,
     /// A sorted, disjoint superset of every byte the stream may touch (see
     /// the module-level soundness contract).

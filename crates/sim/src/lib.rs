@@ -56,6 +56,7 @@ pub mod layout;
 pub mod metrics;
 pub mod observer;
 pub mod program;
+mod reference;
 pub mod report;
 pub mod schedule;
 pub mod shard;

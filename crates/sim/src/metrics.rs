@@ -63,8 +63,8 @@ pub struct ExecMetrics {
     /// every-access observers); a subset of the work counted in
     /// `merged_events` for sharded runs.
     pub surfaced_events: u64,
-    /// Wall-clock nanoseconds spent in sharded phases' footprint /
-    /// materialisation / classification pass.
+    /// Wall-clock nanoseconds spent in sharded phases' footprint
+    /// classification pass.
     pub classify_ns: u64,
     /// Wall-clock nanoseconds spent in sharded phases' parallel
     /// precompute-and-fold pass.

@@ -56,7 +56,9 @@ pub trait AccessStream: Send {
     /// by the sharded executor *before* the first [`AccessStream::next_op`]
     /// call (see [`crate::footprint`] for the soundness contract). Streams
     /// that cannot bound their accesses keep the default
-    /// [`Footprint::Unknown`] and are classified per touched line instead.
+    /// [`Footprint::Unknown`], and the sharded executor then runs their
+    /// whole phase fully ordered: correct, but with every access a merge
+    /// event.
     fn footprint(&self) -> Footprint {
         Footprint::Unknown
     }

@@ -1,9 +1,8 @@
 //! Sharded deterministic execution: the simulator's engine for every
-//! serial phase and for every parallel phase whose workers fit on distinct
-//! cores.
+//! phase.
 //!
-//! The reference per-op loop ([`crate::exec`],
-//! [`Machine::run_reference`](crate::Machine::run_reference)) interleaves
+//! The reference per-op loop
+//! ([`Machine::run_reference`](crate::Machine::run_reference)) interleaves
 //! every thread of a parallel phase through one discrete-event loop: each
 //! memory access takes a heap scheduling step, a shared-directory lookup
 //! and an observer callback, all on one host thread. This module executes
@@ -39,11 +38,7 @@
 //! stream declares its footprint as a few contiguous byte ranges
 //! ([`crate::footprint`]), a single boundary sweep classifies the union
 //! (`extent::ClassTable`), and the per-access hot loop resolves a
-//! line's class with one cached range comparison. Streams without a
-//! declared footprint fall back to materialisation, and their touched
-//! lines enter the sweep as coalesced one-line extents — interleaved
-//! footprints degrade to exactly per-line classification, never to an
-//! incorrect classification.
+//! line's class with one cached range comparison.
 //!
 //! ## Write-private folding
 //!
@@ -96,10 +91,26 @@
 //! A serial phase is the degenerate sharded phase: the main thread as its
 //! only member. It enters through the same `run_phase_sharded` as a
 //! parallel phase; its class table is one all-covering extent private to
-//! that member, so its footprint is never read and its stream never
-//! materialised, and only its sampled accesses become merge events. Its
-//! precompute continues the main thread's retired counts, so the sampling
-//! replica forked at each serial phase resumes mid-stream.
+//! that member, so its footprint is never read, and only its sampled
+//! accesses become merge events. Its precompute continues the main
+//! thread's retired counts, so the sampling replica forked at each serial
+//! phase resumes mid-stream.
+//!
+//! ## Fully ordered phases
+//!
+//! Splitting a parallel phase needs two things: members on pairwise-distinct
+//! cores (a core's private cache and prefetch cursor then see one member's
+//! accesses only, which that member's precompute pass knows in full), and a
+//! declared footprint for every member (the classification sweep's input).
+//! A phase missing either — more workers than cores, or a stream with
+//! [`Footprint::Unknown`] — runs **fully ordered**, the parallel counterpart
+//! of a serial phase: its class table is one all-covering write-shared
+//! extent, so every access becomes a merge event and nothing is simulated
+//! locally. Its merge sends each event through [`Directory::access`] rather
+//! than the precomputed-prefetch variant, so each core's prefetch cursor
+//! sees that core's accesses in exactly the per-op loop's order, two
+//! workers sharing the core included, and its write-back leaves the cursor
+//! as the merge left it. Schedule policies apply as to any parallel phase.
 //!
 //! Determinism is structural: the precompute pass is per-worker (the
 //! partitioning of workers onto host threads cannot affect its output) and
@@ -109,9 +120,9 @@
 //! `sim_throughput` bench gate assert exactly that; the
 //! [`crate::metrics`] counters expose how much was merged vs folded.
 
-use crate::coherence::{prefetchable, transition, Directory, LineState};
+use crate::coherence::{prefetchable, transition, Directory, LineState, SharerSet};
 use crate::exec::{MachineConfig, ThreadCtx, OBS_LANE_ENGINE};
-use crate::extent::{extents_from_touched, ClassTable, ExtClass, LineExtent, RangeList};
+use crate::extent::{ClassTable, ExtClass, LineExtent, RangeList};
 use crate::footprint::Footprint;
 use crate::latency::{AccessOutcome, LatencyModel};
 use crate::metrics::SimCounters;
@@ -143,9 +154,10 @@ struct HitRead {
 
 /// One precomputed worker event, preceded by `lead` cycles of local work:
 /// compute ops, unsampled private accesses, and the perturbation of every
-/// earlier access the observer does not see. A fully write-shared phase
-/// materialises one event per access, so events stay 24 bytes: payloads
-/// only some events need live in the [`WorkerPlan`]'s side tables.
+/// earlier access the observer does not see. A fully write-shared (or
+/// fully ordered) phase precomputes one event per access, so events stay
+/// 24 bytes: payloads only some events need live in the [`WorkerPlan`]'s
+/// side tables.
 struct Ev {
     lead: Cycles,
     /// The accessed address (unused by hit runs and exits).
@@ -200,82 +212,43 @@ struct HitRun {
     max_line: u64,
 }
 
-/// One materialised memory access: `work_before` compute instructions since
-/// the previous access, then the access itself.
-struct MatAccess {
+/// One memory access of a member's stream: `work_before` compute
+/// instructions since the previous access, then the access itself.
+struct FeedAccess {
     work_before: u64,
     addr: Addr,
     write: bool,
 }
 
-/// Materialisation output of one worker stream (the fallback for streams
-/// without a declared footprint).
-struct Mat {
-    accesses: Vec<MatAccess>,
-    /// Compute instructions after the last access.
-    trailing_work: u64,
-    /// Lines this worker touches, with a "did it write" flag.
-    touched: FastMap<CacheLineId, bool>,
-}
-
-/// Feeds accesses to the precompute pass: either a live stream (footprint
-/// known in advance, no materialisation) or a materialised trace
-/// (fallback).
-enum OpFeed {
-    Stream {
-        stream: Box<dyn AccessStream>,
-        trailing: u64,
-    },
-    Mat(Mat, usize),
-}
-
-impl OpFeed {
-    /// Next access, folding compute ops into `work_before`.
-    fn next_access(&mut self) -> Option<MatAccess> {
-        match self {
-            OpFeed::Stream { stream, trailing } => {
-                let mut work = 0u64;
-                loop {
-                    match stream.next_op() {
-                        Some(Op::Work(n)) => work += n,
-                        Some(Op::Read(addr)) => {
-                            return Some(MatAccess {
-                                work_before: work,
-                                addr,
-                                write: false,
-                            })
-                        }
-                        Some(Op::Write(addr)) => {
-                            return Some(MatAccess {
-                                work_before: work,
-                                addr,
-                                write: true,
-                            })
-                        }
-                        None => {
-                            *trailing = work;
-                            return None;
-                        }
-                    }
-                }
-            }
-            OpFeed::Mat(mat, cursor) => {
-                let access = mat.accesses.get(*cursor)?;
-                *cursor += 1;
-                Some(MatAccess {
-                    work_before: access.work_before,
-                    addr: access.addr,
-                    write: access.write,
-                })
-            }
-        }
-    }
-
+/// A member's stream read access by access, compute ops folded into the
+/// next access's `work_before`.
+struct Feed {
+    stream: Box<dyn AccessStream>,
     /// Compute instructions after the last access (valid once exhausted).
-    fn trailing_work(&self) -> u64 {
-        match self {
-            OpFeed::Stream { trailing, .. } => *trailing,
-            OpFeed::Mat(mat, _) => mat.trailing_work,
+    trailing: u64,
+}
+
+impl Feed {
+    fn next_access(&mut self) -> Option<FeedAccess> {
+        let mut work = 0u64;
+        loop {
+            let (addr, write) = match self.stream.next_op() {
+                Some(Op::Work(n)) => {
+                    work += n;
+                    continue;
+                }
+                Some(Op::Read(addr)) => (addr, false),
+                Some(Op::Write(addr)) => (addr, true),
+                None => {
+                    self.trailing = work;
+                    return None;
+                }
+            };
+            return Some(FeedAccess {
+                work_before: work,
+                addr,
+                write,
+            });
         }
     }
 }
@@ -569,19 +542,18 @@ impl Settle {
     }
 }
 
-/// Runs one phase sharded; drop-in replacement for the per-op
-/// `Execution::run_serial` / `Execution::run_parallel` (same inputs, same
-/// outputs, same observer callback sequence). Members must sit on
-/// pairwise-distinct cores.
+/// Runs one phase sharded; same inputs, outputs and observer callback
+/// sequence as the reference per-op loop under the observed schedule.
 ///
 /// A serial phase is the main thread as the phase's only member. `kind`
 /// decides everything that differs: the [`AccessRecord::phase_kind`]
 /// surfaced accesses carry; whether a member's exit reaches
 /// [`ExecObserver::on_thread_exit`] (spawned workers exit, the main thread
 /// of a serial phase does not); the class table (a serial phase's lines are
-/// all private to its member, so its footprint is never read and its stream
-/// never materialised); and the merge order (serial phases ignore
-/// [`MachineConfig::schedule`]).
+/// all private to its member, so its footprint is never read); and the
+/// merge order (serial phases ignore [`MachineConfig::schedule`]). A
+/// parallel phase the executor cannot split runs fully ordered (see the
+/// module docs).
 pub(crate) fn run_phase_sharded(
     config: &MachineConfig,
     directory: &mut Directory,
@@ -610,23 +582,14 @@ pub(crate) fn run_phase_sharded(
         .iter_mut()
         .map(|w| std::mem::replace(&mut w.stream, Box::new(OpsStream::new(Vec::new()))))
         .collect();
-    let (feeds, table) = match kind {
-        PhaseKind::Serial => (
-            streams
-                .into_iter()
-                .map(|stream| OpFeed::Stream {
-                    stream,
-                    trailing: 0,
-                })
-                .collect(),
-            ClassTable::build(&[vec![LineExtent {
-                start: 0,
-                end: u64::MAX,
-                wrote: true,
-            }]]),
-        ),
-        PhaseKind::Parallel => classify(streams, line_size, shards),
+    let (table, ordered) = match kind {
+        PhaseKind::Serial => (ClassTable::uniform(ExtClass::Private(0)), false),
+        PhaseKind::Parallel => match classify(workers, &streams, line_size) {
+            Some(table) => (table, false),
+            None => (ClassTable::uniform(ExtClass::WriteShared), true),
+        },
     };
+    span_classify.attr_u64("ordered", u64::from(ordered));
     let t_class = t0.elapsed();
     span_classify.finish();
     let mut span_precompute = config.obs.span("shard.precompute", OBS_LANE_ENGINE);
@@ -636,27 +599,30 @@ pub(crate) fn run_phase_sharded(
     // Pass 1b: per-worker event precomputation, fanned out on host threads.
     // Members continue their retired counts: the main thread's sampling
     // replica and `instrs_before` run on across serial phases.
-    let inputs: Vec<_> = feeds
+    let inputs: Vec<_> = streams
         .into_iter()
         .zip(forks)
         .zip(workers.iter())
         .enumerate()
-        .map(|(slot, ((feed, fork), w))| {
+        .map(|(slot, ((stream, fork), w))| {
             let counts = (w.instructions, w.reads, w.writes);
             let last_line = directory.last_line_for(w.core);
-            (feed, fork, slot as u32, w.core, counts, last_line)
+            (stream, fork, slot as u32, w.core, counts, last_line)
         })
         .collect();
     let latency_ref = &latency;
     let table_ref = &table;
     let directory_ref: &Directory = directory;
     let mut plans: Vec<WorkerPlan> = parallel_map(inputs, shards, &|_slot, input| {
-        let (feed, fork, me, core, counts, last_line) = input;
+        let (stream, fork, me, core, counts, last_line) = input;
         precompute_worker(
             me,
             core,
             counts,
-            feed,
+            Feed {
+                stream,
+                trailing: 0,
+            },
             fork,
             last_line,
             table_ref,
@@ -680,6 +646,7 @@ pub(crate) fn run_phase_sharded(
         settle: Settle::new(&plans),
         phase_index,
         phase_kind: kind,
+        ordered,
         latency: &latency,
         line_size,
         merged: 0,
@@ -705,20 +672,26 @@ pub(crate) fn run_phase_sharded(
 
     // Write-back: private-line runs, LLC residency, prefetch trackers and
     // local statistics fold into the shared directory; worker totals into
-    // the thread contexts.
+    // the thread contexts. A fully ordered merge kept every prefetch
+    // tracker current itself.
+    let mut span_write_back = config.obs.span("shard.write_back", OBS_LANE_ENGINE);
+    span_write_back.attr_u64("phase", u64::from(phase_index));
     let mut folded = 0u64;
     let mut violations = 0u64;
     for (slot, plan) in plans.drain(..).enumerate() {
         folded += plan.folded;
         violations += plan.violations;
         plan.sim.write_back(directory);
-        directory.set_last_line(workers[slot].core, plan.last_line);
         let ctx = &mut workers[slot];
+        if !ordered {
+            directory.set_last_line(ctx.core, plan.last_line);
+        }
         ctx.instructions = plan.instructions;
         ctx.reads = plan.reads;
         ctx.writes = plan.writes;
         ctx.clock = ends[slot];
     }
+    span_write_back.finish();
     counters.count_folded(folded);
     if violations > 0 {
         counters.count_violations(violations);
@@ -731,41 +704,29 @@ pub(crate) fn run_phase_sharded(
     ends
 }
 
-/// Classifies a parallel phase's lines from its members' footprints.
-/// Streams that declare one skip materialisation entirely; the rest are
-/// drained (on host threads only when there are any) into a trace whose
-/// touched lines coalesce into exact extents.
+/// Classifies a parallel phase's lines from its members' footprints;
+/// `None` when the phase must run fully ordered instead: two members share
+/// a core, or a member's stream declares no footprint.
 fn classify(
-    streams: Vec<Box<dyn AccessStream>>,
+    workers: &[ThreadCtx],
+    streams: &[Box<dyn AccessStream>],
     line_size: u64,
-    shards: usize,
-) -> (Vec<OpFeed>, ClassTable) {
-    let footprints: Vec<Footprint> = streams.iter().map(|s| s.footprint()).collect();
-    let (unhinted, hinted): (Vec<_>, Vec<_>) =
-        (streams.into_iter().zip(&footprints)).partition(|(_, f)| matches!(f, Footprint::Unknown));
-    let mut mats = parallel_map(unhinted, shards, &|_, (stream, _)| {
-        materialize(stream, line_size)
-    })
-    .into_iter();
-    let mut hinted = hinted.into_iter();
-    let (feeds, per_worker_extents): (Vec<OpFeed>, Vec<Vec<LineExtent>>) = (footprints.iter())
-        .map(|footprint| match footprint {
-            Footprint::Bounded(extents) => {
-                let stream = hinted.next().expect("one stream per footprint").0;
-                let feed = OpFeed::Stream {
-                    stream,
-                    trailing: 0,
-                };
-                (feed, byte_to_line_extents(extents, line_size))
-            }
-            Footprint::Unknown => {
-                let mat = mats.next().expect("one trace per unhinted stream");
-                let extents = extents_from_touched(&mat.touched);
-                (OpFeed::Mat(mat, 0), extents)
-            }
+) -> Option<ClassTable> {
+    let mut cores = SharerSet::empty();
+    for w in workers {
+        if cores.contains(w.core) {
+            return None;
+        }
+        cores.insert(w.core);
+    }
+    let per_worker = streams
+        .iter()
+        .map(|stream| match stream.footprint() {
+            Footprint::Bounded(extents) => Some(byte_to_line_extents(&extents, line_size)),
+            Footprint::Unknown => None,
         })
-        .unzip();
-    (feeds, ClassTable::build(&per_worker_extents))
+        .collect::<Option<Vec<_>>>()?;
+    Some(ClassTable::build(&per_worker))
 }
 
 /// Converts a stream's byte-extent footprint to line extents, merging
@@ -802,46 +763,6 @@ fn byte_to_line_extents(
     out
 }
 
-/// Drains a stream into a compact access vector and records which lines it
-/// touches.
-///
-/// A small direct-mapped cache of recently seen lines keeps the hot loop
-/// out of the hash map: workload inner loops cycle over a handful of lines,
-/// so nearly every access hits the cache.
-fn materialize(mut stream: Box<dyn AccessStream>, line_size: u64) -> Mat {
-    const CACHE_WAYS: usize = 8;
-    const NO_LINE: CacheLineId = CacheLineId(u64::MAX);
-    let mut accesses = Vec::new();
-    let mut work: u64 = 0;
-    let mut touched: FastMap<CacheLineId, bool> = FastMap::default();
-    let mut cache: [(CacheLineId, bool); CACHE_WAYS] = [(NO_LINE, false); CACHE_WAYS];
-    while let Some(op) = stream.next_op() {
-        match op {
-            Op::Work(n) => work += n,
-            Op::Read(addr) | Op::Write(addr) => {
-                let write = matches!(op, Op::Write(_));
-                let line = addr.line(line_size);
-                let way = &mut cache[(line.0 as usize) & (CACHE_WAYS - 1)];
-                if way.0 != line || (write && !way.1) {
-                    let entry = touched.entry(line).or_insert(false);
-                    *entry |= write;
-                    *way = (line, *entry);
-                }
-                accesses.push(MatAccess {
-                    work_before: std::mem::take(&mut work),
-                    addr,
-                    write,
-                });
-            }
-        }
-    }
-    Mat {
-        accesses,
-        trailing_work: work,
-        touched,
-    }
-}
-
 /// Replays one worker's accesses locally: simulates private lines, judges
 /// every access through the sampling replica, and folds everything that
 /// needs no global time into event leads.
@@ -856,7 +777,7 @@ fn precompute_worker(
     me: u32,
     core: CoreId,
     counts: (u64, u64, u64),
-    mut feed: OpFeed,
+    mut feed: Feed,
     mut fork: SamplerFork,
     last_line: Option<CacheLineId>,
     table: &ClassTable,
@@ -923,7 +844,7 @@ fn precompute_worker(
     }
 
     while let Some(access) = feed.next_access() {
-        let MatAccess {
+        let FeedAccess {
             work_before,
             addr,
             write,
@@ -1077,8 +998,8 @@ fn precompute_worker(
             }
         }
     }
-    instructions += feed.trailing_work();
-    lead += feed.trailing_work() * cpi;
+    instructions += feed.trailing;
+    lead += feed.trailing * cpi;
     flush_run!();
     events.push(Ev {
         lead,
@@ -1186,6 +1107,10 @@ struct Replay<'m> {
     settle: Settle,
     phase_index: u32,
     phase_kind: PhaseKind,
+    /// A fully ordered phase: directory events go through
+    /// [`Directory::access`], whose prefetch cursor sees them in merge
+    /// order, instead of carrying their precomputed prefetch condition.
+    ordered: bool,
     latency: &'m LatencyModel,
     line_size: u64,
     merged: u64,
@@ -1207,13 +1132,13 @@ impl Replay<'_> {
                 settles,
                 surfaced,
             } => {
-                let result = self.directory.access_hinted(
-                    w.core,
-                    line,
-                    access_kind(write),
-                    w.clock,
-                    sequential,
-                );
+                let kind = access_kind(write);
+                let result = if self.ordered {
+                    self.directory.access(w.core, line, kind, w.clock)
+                } else {
+                    self.directory
+                        .access_hinted(w.core, line, kind, w.clock, sequential)
+                };
                 if settles {
                     self.settle
                         .merge_first_touch(self.directory, line, sequential);

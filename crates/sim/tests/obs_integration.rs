@@ -10,7 +10,10 @@
 //!     loop and shard counts {1, 2, 4} for real registry workloads — the
 //!     per-op loop and the sharded classify/precompute/merge passes reach
 //!     the same logical machine state at every phase boundary, not merely
-//!     the same final report.
+//!     the same final report;
+//! (c) a traced sharded run records every shard pass of every phase,
+//!     write-back included, so a trace books no shard work as `phase`
+//!     self time.
 
 use cheetah_sim::{metrics, Machine, MachineConfig, NullObserver};
 use cheetah_workloads::{find, AppConfig};
@@ -128,5 +131,58 @@ proptest! {
                 "{}: witness sequence diverged at {} shards", name, shards
             );
         }
+    }
+}
+
+/// (c) Every phase of a traced sharded run — serial and parallel, split
+/// and fully ordered — records exactly one span per shard pass, and
+/// `shard.write_back` among them.
+#[test]
+fn traced_run_records_one_write_back_span_per_phase() {
+    let app = find("linear_regression").expect("registered workload");
+    let config = AppConfig {
+        threads: 4,
+        scale: 0.05,
+        fixed: false,
+        seed: 1,
+    };
+    // Two cores for four workers: the parallel phases run fully ordered.
+    for cores in [16u32, 2] {
+        let obs = ObsHandle::fresh();
+        let machine = Machine::new(
+            MachineConfig::with_cores(cores)
+                .with_shards(2)
+                .with_obs(obs.clone()),
+        );
+        machine.run(app.build(&config).program, &mut NullObserver);
+        let phases: Vec<u64> = obs
+            .spans_sorted_by_attr("phase", "index")
+            .iter()
+            .map(|span| span.attr_u64("index").expect("phase index"))
+            .collect();
+        assert!(phases.len() >= 2, "{cores} cores: too few phases traced");
+        for pass in [
+            "shard.classify",
+            "shard.precompute",
+            "shard.merge",
+            "shard.write_back",
+        ] {
+            let traced: Vec<u64> = obs
+                .spans_sorted_by_attr(pass, "phase")
+                .iter()
+                .map(|span| span.attr_u64("phase").expect("phase attr"))
+                .collect();
+            assert_eq!(traced, phases, "{cores} cores: one {pass} span per phase");
+        }
+        let ordered = obs
+            .spans_sorted_by_attr("shard.classify", "phase")
+            .iter()
+            .filter(|span| span.attr_u64("ordered") == Some(1))
+            .count();
+        assert_eq!(
+            ordered > 0,
+            cores < 4,
+            "{cores} cores: {ordered} fully ordered phases"
+        );
     }
 }

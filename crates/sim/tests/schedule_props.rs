@@ -9,7 +9,10 @@
 //! (c) perturbed runs are deterministic given the seed and identical
 //!     across shard counts;
 //! (d) the contention the observed schedule of a staggered workload
-//!     hides is exposed by shuffled and contention-maximizing schedules.
+//!     hides is exposed by shuffled and contention-maximizing schedules;
+//! (e) perturbed policies apply to oversubscribed phases (more workers
+//!     than cores, run fully ordered) with the same guarantees: program
+//!     order, determinism and shard independence.
 
 use cheetah_sim::metrics::snapshot_of;
 use cheetah_sim::{
@@ -379,4 +382,83 @@ fn staggered_contention_exposed_by_perturbation() {
         "the contention heuristic must expose at least as much as the \
          shuffle (shuffled {shuffled}, contended {contended})"
     );
+}
+
+/// (e) An oversubscribed phase — five workers on two cores, so several
+/// share each core's private cache — runs fully ordered, and a perturbed
+/// policy reorders it like any other parallel phase: the policy actually
+/// reorders events, every worker's surfaced accesses stay in program
+/// order, and repeated runs at shard counts {1, 2, 4} are bit-identical.
+#[test]
+fn perturbed_oversubscribed_phase_deterministic_and_ordered() {
+    let shared = Addr(0x4000);
+    let private = Addr(0x90_000);
+    let build = || {
+        ProgramBuilder::new("oversubscribed")
+            .parallel(
+                (0..5u64)
+                    .map(|t| {
+                        ThreadSpec::new(
+                            format!("w{t}"),
+                            LoopStream::new(
+                                vec![
+                                    Op::Write(shared.offset(t * 8)),
+                                    Op::Read(private.offset(t * 256)),
+                                    Op::Work(3 + t),
+                                ],
+                                200,
+                            ),
+                        )
+                    })
+                    .collect(),
+            )
+            .build()
+    };
+    for policy in [
+        SchedulePolicy::SeededShuffle { seed: 7 },
+        SchedulePolicy::ContentionMax { seed: 7 },
+    ] {
+        let run = |shards: u32| {
+            let obs = ObsHandle::fresh();
+            let machine = Machine::new(
+                MachineConfig::with_cores(2)
+                    .with_shards(shards)
+                    .with_schedule(policy)
+                    .with_obs(obs.clone()),
+            );
+            let mut recorder = Recorder::default();
+            let report = machine.run(build(), &mut recorder);
+            (report, recorder, snapshot_of(&obs))
+        };
+        let (report1, recorder1, metrics1) = run(1);
+        assert!(
+            metrics1.sched_reordered > 0,
+            "under {policy}: the policy reordered nothing"
+        );
+        let mut last_seen: std::collections::HashMap<ThreadId, u64> =
+            std::collections::HashMap::new();
+        for record in &recorder1.records {
+            if let Some(prev) = last_seen.insert(record.thread, record.instrs_before) {
+                assert!(
+                    record.instrs_before > prev,
+                    "under {policy}: thread {:?} went from instr {prev} to {}",
+                    record.thread,
+                    record.instrs_before
+                );
+            }
+        }
+        assert_eq!(last_seen.len(), 5, "under {policy}: every worker surfaced");
+        for shards in [1u32, 2, 4] {
+            let (report, recorder, _) = run(shards);
+            assert_eq!(report1, report, "under {policy} at {shards} shards");
+            assert_eq!(
+                recorder1.records, recorder.records,
+                "stream under {policy} at {shards} shards"
+            );
+            assert_eq!(
+                recorder1.exits, recorder.exits,
+                "exits under {policy} at {shards} shards"
+            );
+        }
+    }
 }

@@ -8,10 +8,19 @@
 //!     order, with all fields — is bit-identical to the reference stream;
 //! (c) the replica sampling path (only sampled accesses surfaced) yields
 //!     the identical sample sequence and identical perturbed timings;
-//! (d) oversubscribed phases (more workers than cores) run on the per-op
-//!     loop inside an otherwise sharded run and still match;
+//! (d) oversubscribed phases (more workers than cores) run fully ordered
+//!     inside an otherwise sharded run and still match: report, surfaced
+//!     record stream and sample sequence;
+//! (e) extent classification equals fully ordered execution: hiding every
+//!     footprint changes nothing observable;
+//! (f) under oversubscription, hidden and declared footprints agree, and
+//!     both match the reference record stream and sample sequence;
 //! (g) serial phases that follow parallel phases continue the main
 //!     thread's instruction count and sampling state mid-stream.
+//!
+//! A targeted test pins the one piece of state two workers sharing a core
+//! interleave through that no per-worker pass can know: the core's
+//! next-line-prefetch cursor.
 //!
 //! The random shapes also cover a worker that revisits over a thousand
 //! private lines in scrambled order with mixed final states, and a line
@@ -26,10 +35,10 @@ use cheetah_sim::{
 };
 use proptest::prelude::*;
 
-/// Wrapper hiding a stream's declared footprint, forcing the sharded
-/// executor onto the per-line materialisation fallback. Comparing runs
-/// with and without it proves extent classification and per-line
-/// classification are interchangeable.
+/// Wrapper hiding a stream's declared footprint, so the sharded executor
+/// runs every phase it appears in fully ordered. Comparing runs with and
+/// without it proves extent classification equals fully ordered
+/// execution.
 struct HiddenFootprint<S>(S);
 
 impl<S: AccessStream> AccessStream for HiddenFootprint<S> {
@@ -53,7 +62,8 @@ impl<S: AccessStream> AccessStream for HiddenFootprint<S> {
 /// the first sweep; the second phase's sweep revisits the first's lines
 /// from another core. `handoff` makes a few lines write-shared in the
 /// first parallel phase and private to worker 0 in the second; the serial
-/// tails revisit both regions.
+/// tails revisit both regions. `unhinted` adds a worker per parallel phase
+/// whose stream declares no footprint, so that phase runs fully ordered.
 #[derive(Debug, Clone)]
 struct Shape {
     threads: u64,
@@ -66,6 +76,7 @@ struct Shape {
     serial_after: bool,
     scatter: bool,
     handoff: bool,
+    unhinted: bool,
 }
 
 /// Lines the `scatter` worker sweeps (prime, so the stride permutes them).
@@ -78,7 +89,7 @@ fn build_program(shape: &Shape) -> Program {
 }
 
 /// Builds the shape's program; with `hide`, every stream's footprint is
-/// masked so classification falls back to per-line materialisation.
+/// masked so every parallel phase runs fully ordered.
 fn build_program_with(shape: &Shape, hide: bool) -> Program {
     let Shape {
         threads,
@@ -90,6 +101,7 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
         serial_after,
         scatter,
         handoff,
+        unhinted,
         ..
     } = *shape;
     let shared_line = Addr(0x1000);
@@ -160,13 +172,15 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
             })
             .collect();
         workers.push(spec(format!("stream{phase}"), OpsStream::new(sweep), hide));
-        // ... next to a worker whose stream cannot declare one (the
-        // per-line materialisation fallback), in the same phase.
-        let unhinted = cheetah_sim::IterStream::new(
-            (0..iterations * 4)
-                .map(move |i| Op::Read(stream_base.offset(0x80_000 + phase * 0x10_000 + i * 16))),
-        );
-        workers.push(ThreadSpec::new(format!("unhinted{phase}"), unhinted));
+        // ... optionally next to a worker whose stream cannot declare one,
+        // which makes the whole phase fully ordered.
+        if unhinted {
+            let stream =
+                cheetah_sim::IterStream::new((0..iterations * 4).map(move |i| {
+                    Op::Read(stream_base.offset(0x80_000 + phase * 0x10_000 + i * 16))
+                }));
+            workers.push(ThreadSpec::new(format!("unhinted{phase}"), stream));
+        }
         if scatter {
             let mut ops = Vec::new();
             for sweep in 0..2u64 {
@@ -328,14 +342,18 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
             proptest::bool::ANY,
             proptest::bool::ANY,
         ),
-        (proptest::bool::ANY, proptest::bool::ANY),
+        (
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+        ),
     )
         .prop_map(
             |(
                 (threads, extra_cores, iterations),
                 (private_stride, work),
                 (second_phase, serial_init, serial_after),
-                (scatter, handoff),
+                (scatter, handoff, unhinted),
             )| {
                 Shape {
                     threads,
@@ -350,6 +368,7 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
                     serial_after,
                     scatter,
                     handoff,
+                    unhinted,
                 }
             },
         )
@@ -394,11 +413,11 @@ proptest! {
         prop_assert_eq!(&classic.samples, &sharded_sampler.samples);
     }
 
-    /// (e) Extent classification is interchangeable with per-line
-    /// classification: hiding every stream's footprint (forcing the
-    /// materialisation fallback) yields the bit-identical report, the
-    /// identical surfaced event stream and the identical sample sequence
-    /// at every shard count.
+    /// (e) Extent classification equals fully ordered execution: hiding
+    /// every stream's footprint (so every parallel phase runs fully
+    /// ordered) yields the bit-identical report, the identical surfaced
+    /// event stream and the identical sample sequence at every shard
+    /// count.
     #[test]
     fn extent_vs_per_line_classification_identical(
         shape in arb_shape(),
@@ -428,56 +447,101 @@ proptest! {
     }
 
     /// (f) Extent classification under oversubscription: hidden and
-    /// declared footprints agree when the phase runs on the per-op loop
-    /// because workers share cores.
+    /// declared footprints agree when workers share cores (the phase runs
+    /// fully ordered either way), and both match the reference loop's
+    /// report, record stream and sample sequence at shard counts {1, 2, 4}.
     #[test]
     fn extent_oversubscription_fallback_identical(
         threads in 3u64..8,
-        shards in 2u32..6,
         iterations in 1u64..20,
+        period in 1u64..9,
     ) {
-        let shape = Shape {
-            threads,
-            cores: 2, // fewer cores than workers: same-core interleaving
-            iterations,
-            private_stride: 64,
-            work: 3,
-            second_phase: true,
-            serial_init: true,
-            serial_after: false,
-            scatter: false,
-            handoff: false,
-        };
-        let extent_report = run(&shape, shards, &mut NullObserver);
-        let fallback_report = run_hidden(&shape, shards, &mut NullObserver);
-        let classic = run_reference(&shape, &mut NullObserver);
-        prop_assert_eq!(&classic, &extent_report);
-        prop_assert_eq!(&extent_report, &fallback_report);
+        let shape = oversubscribed(threads, iterations, false);
+        for hide in [false, true] {
+            assert_identical_to_reference(shape.cores, || build_program_with(&shape, hide), period);
+        }
     }
 
-    /// (d) Oversubscribed phases (workers > cores) take the per-op loop
-    /// and still produce reports identical to the reference run.
+    /// (d) Oversubscribed phases (workers > cores) run fully ordered and
+    /// match the reference loop at shard counts {1, 2, 4}: report,
+    /// surfaced record stream and sample sequence, with or without a
+    /// worker that declares no footprint.
     #[test]
     fn oversubscription_falls_back_consistently(
         threads in 3u64..8,
-        shards in 1u32..6,
         iterations in 1u64..30,
+        period in 1u64..9,
+        unhinted in proptest::bool::ANY,
     ) {
-        let shape = Shape {
-            threads,
-            cores: 2, // fewer cores than workers: same-core interleaving
-            iterations,
-            private_stride: 64,
-            work: 3,
-            second_phase: true,
-            serial_init: true,
-            serial_after: false,
-            scatter: false,
-            handoff: false,
-        };
-        let baseline = run_reference(&shape, &mut NullObserver);
-        let sharded = run(&shape, shards, &mut NullObserver);
-        prop_assert_eq!(&baseline, &sharded);
+        let shape = oversubscribed(threads, iterations, unhinted);
+        assert_identical_to_reference(shape.cores, || build_program(&shape), period);
+    }
+}
+
+/// A two-core shape whose parallel phases have more workers than cores, so
+/// several workers interleave through one core's private cache.
+fn oversubscribed(threads: u64, iterations: u64, unhinted: bool) -> Shape {
+    Shape {
+        threads,
+        cores: 2,
+        iterations,
+        private_stride: 64,
+        work: 3,
+        second_phase: true,
+        serial_init: true,
+        serial_after: false,
+        scatter: false,
+        handoff: false,
+        unhinted,
+    }
+}
+
+/// Asserts that [`Machine::run`] matches the reference loop at shard
+/// counts {1, 2, 4} on the programs `program` builds, on a machine of
+/// `cores` cores: the report under a transparent observer, the report,
+/// surfaced record stream and thread exits under a perturbing
+/// every-access observer, and the report and sample sequence under a
+/// modulo sampler of `period`.
+fn assert_identical_to_reference(cores: u32, program: impl Fn() -> Program, period: u64) {
+    let machine = |shards: u32| Machine::new(MachineConfig::with_cores(cores).with_shards(shards));
+    let sampler = || ModuloSampler {
+        period,
+        trap: 400,
+        samples: Vec::new(),
+    };
+    let reference = machine(1).run_reference(program(), &mut NullObserver);
+    let mut reference_rec = Recorder::default();
+    let reference_recorded = machine(1).run_reference(program(), &mut reference_rec);
+    let mut reference_sampler = sampler();
+    let reference_sampled = machine(1).run_reference(program(), &mut reference_sampler);
+    for shards in [1u32, 2, 4] {
+        let m = machine(shards);
+        assert_eq!(
+            reference,
+            m.run(program(), &mut NullObserver),
+            "report at {shards} shards"
+        );
+        let mut rec = Recorder::default();
+        let recorded = m.run(program(), &mut rec);
+        assert_eq!(
+            reference_recorded, recorded,
+            "recorded report at {shards} shards"
+        );
+        assert_eq!(
+            reference_rec.records, rec.records,
+            "record stream at {shards} shards"
+        );
+        assert_eq!(reference_rec.exits, rec.exits, "exits at {shards} shards");
+        let mut s = sampler();
+        let sampled = m.run(program(), &mut s);
+        assert_eq!(
+            reference_sampled, sampled,
+            "sampled report at {shards} shards"
+        );
+        assert_eq!(
+            reference_sampler.samples, s.samples,
+            "samples at {shards} shards"
+        );
     }
 }
 
@@ -499,6 +563,7 @@ fn serial_phases_after_parallel_phases_identical() {
         serial_after: true,
         scatter: true,
         handoff: true,
+        unhinted: false,
     };
     let mut reference_rec = Recorder::default();
     let reference = run_reference(&shape, &mut reference_rec);
@@ -561,6 +626,7 @@ fn counting_observer_counts_match() {
         serial_after: false,
         scatter: false,
         handoff: false,
+        unhinted: true,
     };
     let mut classic = CountingObserver::default();
     let baseline = run_reference(&shape, &mut classic);
@@ -589,6 +655,7 @@ fn auto_shards_identical() {
         serial_after: false,
         scatter: false,
         handoff: false,
+        unhinted: false,
     };
     let baseline = run_reference(&shape, &mut NullObserver);
     let auto = run(&shape, 0, &mut NullObserver);
@@ -627,6 +694,58 @@ fn fully_contended_run_identical() {
         Machine::new(MachineConfig::with_cores(8).with_shards(4)).run(build(), &mut NullObserver);
     assert_eq!(classic, sharded);
     assert!(classic.coherence.invalidations > 100);
+}
+
+/// Two workers sharing a core sweep interleaved lines: one the even lines,
+/// the other the odd ones, alternating in time. Neither worker's own
+/// sequence is ever sequential, but the core's prefetch cursor sees
+/// 0, 1, 2, 3, … and hides every miss after the first. Only an executor
+/// that feeds the shared cursor each core's accesses in global order gets
+/// this right; the fully ordered phase must match the reference loop at
+/// shard counts {1, 2, 4}.
+#[test]
+fn co_resident_workers_share_the_prefetch_cursor() {
+    const LINES: u64 = 32;
+    let base = Addr(0x40_0000);
+    let sweep = |first: u64| {
+        let ops = (0..LINES)
+            .flat_map(|i| {
+                [
+                    Op::Read(base.offset((2 * i + first) * 64)),
+                    Op::Work(20_000),
+                ]
+            })
+            .collect();
+        OpsStream::new(ops)
+    };
+    // Two cores, three workers: slots 0 and 2 share core 1, slot 1 runs
+    // alone on core 0. Slot 2 starts two spawns (6000 cycles) after slot
+    // 0, so each odd line lands between two even ones.
+    let program = || {
+        ProgramBuilder::new("co-resident")
+            .parallel(vec![
+                ThreadSpec::new("even", sweep(0)),
+                ThreadSpec::new(
+                    "loner",
+                    LoopStream::new(vec![Op::Write(Addr(0x90_0000)), Op::Work(500)], 100),
+                ),
+                ThreadSpec::new("odd", sweep(1)),
+            ])
+            .build()
+    };
+    let reference =
+        Machine::new(MachineConfig::with_cores(2)).run_reference(program(), &mut NullObserver);
+    assert_eq!(
+        reference.coherence.prefetched,
+        2 * LINES - 1,
+        "the shared cursor hides every miss after the first"
+    );
+    // On distinct cores each cursor sees a stride-2 sweep: no prefetches.
+    let apart = Machine::new(MachineConfig::with_cores(4)).run(program(), &mut NullObserver);
+    assert_eq!(apart.coherence.prefetched, 0);
+    for period in [1u64, 3] {
+        assert_identical_to_reference(2, program, period);
+    }
 }
 
 /// The cross-object workloads (co-resident objects packed into shared
@@ -712,6 +831,7 @@ fn surfaced_records_have_expected_kinds() {
         serial_after: false,
         scatter: false,
         handoff: false,
+        unhinted: false,
     };
     let mut rec = Recorder::default();
     run(&shape, 3, &mut rec);
